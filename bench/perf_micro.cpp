@@ -65,6 +65,7 @@ void BM_LstmStep(benchmark::State& state) {
   const auto hidden = static_cast<std::size_t>(state.range(0));
   const bool fused = state.range(1) != 0;
   nn::LstmNetwork net({.input_size = 1, .hidden_size = hidden, .num_layers = 2}, 11);
+  net.pack();
   Rng rng(12);
   std::vector<double> window(35);
   for (double& v : window) v = rng.uniform(0.5, 2.0);

@@ -50,7 +50,7 @@ flags:
                        (PORT 0 picks an ephemeral port; the bound port is
                        announced as "LISTENING <port>" on stdout)
   --host ADDR          listen address (default 127.0.0.1)
-  --shards N           registry/retrain-queue shard count
+  --shards N           tenant-table/retrain-queue shard count
                        (default LD_SHARDS, else hardware concurrency)
   --idle-timeout S     close connections idle for S seconds (default 300)
   --max-conns N        concurrent connection cap (default 1024)
@@ -58,7 +58,6 @@ flags:
                        with "503 SHED" (default 512)
   --shed-predict N     depth at which PREDICT/BATCH shed too (default 2048)
   --checkpoint-dir D   persist models on publish; warm-start from D
-  --replicas N         inference replicas per snapshot (default 2)
   --history N          per-workload history cap (default 4096)
   --threads N          resize the shared thread pool
   --no-retrain         disable drift-triggered background retraining
@@ -284,7 +283,6 @@ int run_serve(int argc, const char* const* argv, std::istream& in, std::ostream&
     serving::ServiceConfig cfg;
     cfg.shards = static_cast<std::size_t>(args.get_int("shards", 0));
     cfg.max_history = static_cast<std::size_t>(args.get_int("history", 4096));
-    cfg.replicas = static_cast<std::size_t>(args.get_int("replicas", 2));
     cfg.checkpoint_dir = args.get("checkpoint-dir", "");
     cfg.background_retrain = !args.get_bool("no-retrain");
     if (args.get_bool("quant")) nn::set_quantized_inference(true);

@@ -12,7 +12,6 @@
 // flags:
 //   --replay FILE        read commands from FILE instead of stdin
 //   --checkpoint-dir D   persist models on publish; warm-start from D
-//   --replicas N         inference replicas per snapshot (default 2)
 //   --history N          per-workload history cap (default 4096)
 //   --threads N          resize the shared thread pool
 //   --no-retrain         disable drift-triggered background retraining

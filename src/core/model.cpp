@@ -8,6 +8,11 @@
 
 namespace ld::core {
 
+namespace {
+// Layered-inference caches, per thread like the GEMM pack buffers.
+thread_local nn::LstmNetwork::ForwardCaches t_caches;
+}  // namespace
+
 TrainedModel::TrainedModel(std::span<const double> train, std::span<const double> validation,
                            const Hyperparameters& hp, const ModelTrainingConfig& config,
                            std::uint64_t seed)
@@ -30,7 +35,7 @@ TrainedModel::TrainedModel(std::span<const double> train, std::span<const double
   }
   const nn::SlidingWindowDataset train_ds(scaled_train, effective_window_);
 
-  network_ = std::make_shared<nn::LstmNetwork>(
+  auto network = std::make_shared<nn::LstmNetwork>(
       nn::LstmNetworkConfig{.input_size = 1,
                             .hidden_size = hp.cell_size,
                             .num_layers = hp.num_layers,
@@ -54,10 +59,10 @@ TrainedModel::TrainedModel(std::span<const double> train, std::span<const double
     const std::vector<double> scaled_ctx = scaler_.transform(context);
     const nn::SlidingWindowDataset val_ds(scaled_ctx, effective_window_);
 
-    train_result_ = nn::train(*network_, train_ds, &val_ds, tc, seed ^ 0x5eedULL);
+    train_result_ = nn::train(*network, train_ds, &val_ds, tc, seed ^ 0x5eedULL);
 
     // Cross-validation MAPE in the original JAR scale.
-    const std::vector<double> scaled_preds = nn::predict_all(*network_, val_ds);
+    const std::vector<double> scaled_preds = nn::predict_all(*network, val_ds);
     std::vector<double> preds = scaler_.inverse(scaled_preds);
     for (double& p : preds) p = std::max(0.0, p);
     // val_ds targets correspond to validation[ctx - effective_window_ ...]:
@@ -67,9 +72,9 @@ TrainedModel::TrainedModel(std::span<const double> train, std::span<const double
                                validation.end());
     validation_mape_ = metrics::mape(actual, preds);
   } else {
-    train_result_ = nn::train(*network_, train_ds, nullptr, tc, seed ^ 0x5eedULL);
+    train_result_ = nn::train(*network, train_ds, nullptr, tc, seed ^ 0x5eedULL);
     // Report in-sample MAPE so callers always get a comparable number.
-    const std::vector<double> scaled_preds = nn::predict_all(*network_, train_ds);
+    const std::vector<double> scaled_preds = nn::predict_all(*network, train_ds);
     std::vector<double> preds = scaler_.inverse(scaled_preds);
     for (double& p : preds) p = std::max(0.0, p);
     std::vector<double> actual(train_ds.size());
@@ -77,6 +82,8 @@ TrainedModel::TrainedModel(std::span<const double> train, std::span<const double
       actual[i] = scaler_.inverse(train_ds.target(i));
     validation_mape_ = metrics::mape(actual, preds);
   }
+  network->pack();
+  network_ = std::move(network);
 }
 
 ModelSnapshot TrainedModel::snapshot() const {
@@ -98,7 +105,7 @@ std::shared_ptr<TrainedModel> TrainedModel::restore(const ModelSnapshot& snap) {
   model->effective_window_ = snap.effective_window;
   model->scaler_ = nn::MinMaxScaler::from_bounds(snap.scaler_min, snap.scaler_max);
   model->validation_mape_ = snap.validation_mape;
-  model->network_ = std::make_shared<nn::LstmNetwork>(
+  auto network = std::make_shared<nn::LstmNetwork>(
       nn::LstmNetworkConfig{.input_size = 1,
                             .hidden_size = snap.hyperparameters.cell_size,
                             .num_layers = snap.hyperparameters.num_layers,
@@ -106,7 +113,9 @@ std::shared_ptr<TrainedModel> TrainedModel::restore(const ModelSnapshot& snap) {
                             .activation = snap.hyperparameters.activation,
                             .dropout = 0.0},  // dropout is a training-only concern
       /*seed=*/0);
-  model->network_->load_weights(snap.weights);  // throws on size mismatch
+  network->load_weights(snap.weights);  // throws on size mismatch
+  network->pack();
+  model->network_ = std::move(network);
   return model;
 }
 
@@ -135,7 +144,7 @@ double TrainedModel::predict_next(std::span<const double> history) const {
   } else {
     tensor::Matrix x(1, w);
     for (std::size_t j = 0; j < w; ++j) x(0, j) = window[j];
-    y = network_->forward(x)[0];
+    y = network_->forward(x, t_caches)[0];
   }
   return std::max(0.0, scaler_.inverse(y));
 }
@@ -171,7 +180,7 @@ std::vector<double> TrainedModel::predict_series(std::span<const double> series,
       x(r, j) = scaler_.transform(v);
     }
   }
-  const std::vector<double> scaled = network_->forward(x);
+  const std::vector<double> scaled = network_->forward(x, t_caches);
   std::vector<double> out(count);
   for (std::size_t r = 0; r < count; ++r) out[r] = std::max(0.0, scaler_.inverse(scaled[r]));
   return out;

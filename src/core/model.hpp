@@ -74,9 +74,9 @@ class TrainedModel final : public ts::Predictor {
   TrainedModel() = default;  // used by restore()
   Hyperparameters hp_;
   nn::MinMaxScaler scaler_;
-  // The network's forward pass mutates internal caches; predictions are
-  // logically const, so the network sits behind a mutable pointer.
-  mutable std::shared_ptr<nn::LstmNetwork> network_;
+  // Fixed once the weights are final (and packed); inference is const and
+  // thread-safe, so copies and clones share it.
+  std::shared_ptr<const nn::LstmNetwork> network_;
   nn::TrainResult train_result_;
   double validation_mape_ = 0.0;
   std::size_t effective_window_ = 0;  ///< history length after data clamping

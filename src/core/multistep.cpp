@@ -116,7 +116,8 @@ std::vector<double> DirectMultiStepModel::predict(std::span<const double> histor
     const double v = idx >= 0 ? history[static_cast<std::size_t>(idx)] : history.front();
     x_seq[t](0, 0) = scaler_.transform(v);
   }
-  const tensor::Matrix out = network_->forward_sequence(x_seq);
+  nn::LstmNetwork::ForwardCaches caches;
+  const tensor::Matrix out = network_->forward_sequence(x_seq, caches);
   std::vector<double> forecast(horizon_);
   for (std::size_t h = 0; h < horizon_; ++h)
     forecast[h] = std::max(0.0, scaler_.inverse(out(0, h)));

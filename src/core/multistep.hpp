@@ -41,7 +41,7 @@ class DirectMultiStepModel {
   std::size_t horizon_;
   std::size_t window_ = 0;
   nn::MinMaxScaler scaler_;
-  mutable std::shared_ptr<nn::LstmNetwork> network_;
+  std::shared_ptr<nn::LstmNetwork> network_;
   double validation_mape_ = 0.0;
 };
 

@@ -114,9 +114,12 @@ struct Server::Impl {
     std::string payload;     ///< frame payload (binary), command line (text),
                              ///< or URL path (http)
     bool http = false;       ///< ops-plane GET: never shed, close after reply
+    bool shed = false;       ///< admission already answered: payload is the reply
     std::uint64_t id = 0;    ///< request id for trace flow stitching (0 = none)
   };
   std::deque<Request> pending;
+  /// Shed replies in `pending`: queued for reply order, not counted as work.
+  std::size_t queued_sheds = 0;
   std::uint64_t next_request_id = 0;  ///< minted at the front-end door
 
   // Instruments (resolved once; the registry outlives the server).
@@ -434,7 +437,7 @@ struct Server::Impl {
         }
         conn.inbuf.erase(0, decoded.consumed);
         requests_binary->inc();
-        if (admit(classify_frame(decoded.op), conn, /*binary=*/true)) {
+        if (admit(classify_frame(decoded.op), fd, /*binary=*/true)) {
           Request req{fd, true, decoded.op, std::move(decoded.payload)};
           stamp_request(req);
           pending.push_back(std::move(req));
@@ -483,7 +486,7 @@ struct Server::Impl {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.find_first_not_of(" \t") == std::string::npos) continue;
       requests_text->inc();
-      if (admit(classify_text(line), conn, /*binary=*/false)) {
+      if (admit(classify_text(line), fd, /*binary=*/false)) {
         Request req{fd, false, Op::kError, std::move(line)};
         stamp_request(req);
         pending.push_back(std::move(req));
@@ -493,10 +496,12 @@ struct Server::Impl {
 
   /// Admission control: true = execute, false = already answered with a shed
   /// reply. The queue depth is sampled at enqueue time, so one burst of
-  /// pipelined requests sheds its own tail.
-  bool admit(const Classified& c, Connection& conn, bool binary) {
-    const std::size_t depth = pending.size();
-    // While draining, every sheddable request sheds: a draining replica must
+  /// pipelined requests sheds its own tail. The shed reply is queued in
+  /// `pending` like any request, so a pipelining client gets its replies in
+  /// request order and can tell which request was shed.
+  bool admit(const Classified& c, int fd, bool binary) {
+    const std::size_t depth = pending.size() - queued_sheds;
+    // While draining, every sheddable request sheds: a draining server must
     // not take on new data-plane work. (Control verbs — STATS, SAVE, QUIT —
     // still execute, and the ops plane bypasses admission entirely.)
     const bool over =
@@ -506,10 +511,14 @@ struct Server::Impl {
     shed_slo->record(over);
     if (!over) return true;
     shed.at(c.verb)->inc();
+    Request reply{fd, binary, Op::kShed, {}};
+    reply.shed = true;
     if (binary)
-      append_shed(conn.outbuf, c.verb);
+      append_shed(reply.payload, c.verb);
     else
-      conn.outbuf.append("503 SHED\n");
+      reply.payload = "503 SHED\n";
+    pending.push_back(std::move(reply));
+    ++queued_sheds;
     return false;
   }
 
@@ -520,9 +529,14 @@ struct Server::Impl {
     while (!pending.empty()) {
       Request req = std::move(pending.front());
       pending.pop_front();
+      if (req.shed) --queued_sheds;
       const auto it = conns.find(req.fd);
       if (it == conns.end()) continue;
       Connection& conn = it->second;
+      if (req.shed) {
+        conn.outbuf.append(req.payload);
+        continue;
+      }
       if (req.http) {
         execute_http(req, conn);
         continue;
@@ -556,7 +570,7 @@ struct Server::Impl {
       body = obs::MetricsRegistry::global().prometheus_text();
       type = "text/plain; version=0.0.4; charset=utf-8";
     } else if (req.payload == "/healthz") {
-      // A draining replica answers 503 so load balancers stop routing to it
+      // A draining server answers 503 so load balancers stop routing to it
       // while the in-flight work finishes — the readiness half of drain().
       if (drain_flag.load(std::memory_order_relaxed)) {
         status = "503 Service Unavailable";

@@ -18,9 +18,9 @@ DenseLayer::DenseLayer(std::size_t input_size, std::size_t output_size, Rng& rng
   for (double& v : w_.flat()) v = rng.uniform(-limit, limit);
 }
 
-tensor::Matrix DenseLayer::forward(const tensor::Matrix& x) {
+tensor::Matrix DenseLayer::forward(const tensor::Matrix& x, tensor::Matrix& cache_x) const {
   if (x.cols() != input_size_) throw std::invalid_argument("DenseLayer::forward: shape");
-  cache_x_ = x;
+  cache_x = x;
   tensor::Matrix y(x.rows(), output_size_);
   tensor::matmul_into(x, w_, y, /*accumulate=*/false);
   for (std::size_t r = 0; r < y.rows(); ++r)
@@ -28,10 +28,10 @@ tensor::Matrix DenseLayer::forward(const tensor::Matrix& x) {
   return y;
 }
 
-tensor::Matrix DenseLayer::backward(const tensor::Matrix& dy) {
-  if (dy.cols() != output_size_ || dy.rows() != cache_x_.rows())
+tensor::Matrix DenseLayer::backward(const tensor::Matrix& dy, const tensor::Matrix& cache_x) {
+  if (dy.cols() != output_size_ || dy.rows() != cache_x.rows())
     throw std::invalid_argument("DenseLayer::backward: shape");
-  tensor::matmul_at_b_into(cache_x_, dy, dw_, /*accumulate=*/true);
+  tensor::matmul_at_b_into(cache_x, dy, dw_, /*accumulate=*/true);
   for (std::size_t r = 0; r < dy.rows(); ++r)
     for (std::size_t c = 0; c < output_size_; ++c) db_[c] += dy(r, c);
   tensor::Matrix dx(dy.rows(), input_size_);
@@ -45,6 +45,10 @@ void DenseLayer::zero_grad() noexcept {
 }
 
 std::vector<std::span<double>> DenseLayer::parameters() {
+  return {w_.flat(), {b_.data(), b_.size()}};
+}
+
+std::vector<std::span<const double>> DenseLayer::parameters() const {
   return {w_.flat(), {b_.data(), b_.size()}};
 }
 

@@ -18,11 +18,13 @@ class DenseLayer {
   [[nodiscard]] std::size_t output_size() const noexcept { return output_size_; }
 
   /// y = x W + b, x is (B x input_size); result (B x output_size). Linear
-  /// activation — regression output.
-  [[nodiscard]] tensor::Matrix forward(const tensor::Matrix& x);
+  /// activation — regression output. Copies x into the caller's `cache_x`
+  /// for backward.
+  [[nodiscard]] tensor::Matrix forward(const tensor::Matrix& x, tensor::Matrix& cache_x) const;
 
-  /// Given dL/dy, accumulate dW/db and return dL/dx.
-  [[nodiscard]] tensor::Matrix backward(const tensor::Matrix& dy);
+  /// Given dL/dy and the `cache_x` of the matching forward, accumulate
+  /// dW/db and return dL/dx.
+  [[nodiscard]] tensor::Matrix backward(const tensor::Matrix& dy, const tensor::Matrix& cache_x);
 
   /// Read-only views for the fused inference path (nn/network.cpp), which
   /// evaluates the head as a dot product without a Matrix temporary.
@@ -33,6 +35,7 @@ class DenseLayer {
 
   void zero_grad() noexcept;
   [[nodiscard]] std::vector<std::span<double>> parameters();
+  [[nodiscard]] std::vector<std::span<const double>> parameters() const;
   [[nodiscard]] std::vector<std::span<double>> gradients();
   [[nodiscard]] std::size_t parameter_count() const noexcept;
 
@@ -42,7 +45,6 @@ class DenseLayer {
   std::vector<double> b_;
   tensor::Matrix dw_;
   std::vector<double> db_;
-  tensor::Matrix cache_x_;
 };
 
 }  // namespace ld::nn

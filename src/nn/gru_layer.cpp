@@ -32,18 +32,17 @@ GruLayer::GruLayer(std::size_t input_size, std::size_t hidden_size, Rng& rng,
   for (double& v : u_.flat()) v = rng.uniform(-ul, ul);
 }
 
-std::vector<tensor::Matrix> GruLayer::forward(const std::vector<tensor::Matrix>& inputs) {
+const std::vector<tensor::Matrix>& GruLayer::forward(const std::vector<tensor::Matrix>& inputs,
+                                                    RecurrentCache& cache) const {
   const std::size_t steps = inputs.size();
   if (steps == 0) throw std::invalid_argument("GruLayer::forward: empty sequence");
   const std::size_t batch = inputs.front().rows();
   const std::size_t h3 = 3 * hidden_size_;
 
-  cache_x_ = inputs;
-  cache_gates_.assign(steps, tensor::Matrix(batch, h3));
-  cache_rh_.assign(steps, tensor::Matrix(batch, hidden_size_));
-  cache_h_.assign(steps, tensor::Matrix(batch, hidden_size_));
-  cached_batch_ = batch;
-  cached_steps_ = steps;
+  cache.x = inputs;
+  cache.gates.assign(steps, tensor::Matrix(batch, h3));
+  cache.state.assign(steps, tensor::Matrix(batch, hidden_size_));
+  cache.h.assign(steps, tensor::Matrix(batch, hidden_size_));
 
   // Previous hidden state is read from the cache (zeros at t = 0) rather
   // than copied into scratch every step.
@@ -60,9 +59,9 @@ std::vector<tensor::Matrix> GruLayer::forward(const std::vector<tensor::Matrix>&
     // Note: the accumulated g-block currently holds U_g h (not U_g (r⊙h));
     // we recompute the g pre-activation below once r is known.
 
-    tensor::Matrix& gates = cache_gates_[t];
-    tensor::Matrix& rh = cache_rh_[t];
-    tensor::Matrix& h = cache_h_[t];
+    tensor::Matrix& gates = cache.gates[t];
+    tensor::Matrix& rh = cache.state[t];
+    tensor::Matrix& h = cache.h[t];
 
     // First pass: z and r.
     for (std::size_t rI = 0; rI < batch; ++rI) {
@@ -111,12 +110,13 @@ std::vector<tensor::Matrix> GruLayer::forward(const std::vector<tensor::Matrix>&
     }
     h_prev = &h;
   }
-  return cache_h_;
+  return cache.h;
 }
 
-std::vector<tensor::Matrix> GruLayer::backward(const std::vector<tensor::Matrix>& dh_out) {
-  const std::size_t steps = cached_steps_;
-  const std::size_t batch = cached_batch_;
+std::vector<tensor::Matrix> GruLayer::backward(const std::vector<tensor::Matrix>& dh_out,
+                                               const RecurrentCache& cache) {
+  const std::size_t steps = cache.x.size();
+  const std::size_t batch = steps == 0 ? 0 : cache.x.front().rows();
   const std::size_t h3 = 3 * hidden_size_;
   if (dh_out.size() != steps) throw std::invalid_argument("GruLayer::backward: step mismatch");
 
@@ -127,8 +127,8 @@ std::vector<tensor::Matrix> GruLayer::backward(const std::vector<tensor::Matrix>
 
   for (std::size_t tt = steps; tt > 0; --tt) {
     const std::size_t t = tt - 1;
-    const tensor::Matrix& gates = cache_gates_[t];
-    const tensor::Matrix* h_prev = t > 0 ? &cache_h_[t - 1] : nullptr;
+    const tensor::Matrix& gates = cache.gates[t];
+    const tensor::Matrix* h_prev = t > 0 ? &cache.h[t - 1] : nullptr;
 
     drh.fill(0.0);
     // dL/d(r⊙h) comes only through the candidate pre-activation: U_g^T dĝ.
@@ -187,13 +187,13 @@ std::vector<tensor::Matrix> GruLayer::backward(const std::vector<tensor::Matrix>
 
     // Weight grads. For the z/r blocks, U multiplies h_{t-1}; for the g
     // block it multiplies (r⊙h). Split the accumulation accordingly.
-    tensor::matmul_at_b_into(dgates, cache_x_[t], dw_, /*accumulate=*/true);
+    tensor::matmul_at_b_into(dgates, cache.x[t], dw_, /*accumulate=*/true);
     if (h_prev != nullptr) {
       // dU[z,r] += dG[z,r]^T h_prev ; dU[g] += dG[g]^T rh.
       for (std::size_t rI = 0; rI < batch; ++rI) {
         const double* dg = dgates.data() + rI * h3;
         const double* hp = h_prev->data() + rI * hidden_size_;
-        const double* rhr = cache_rh_[t].data() + rI * hidden_size_;
+        const double* rhr = cache.state[t].data() + rI * hidden_size_;
         for (std::size_t j = 0; j < 2 * hidden_size_; ++j) {
           const double v = dg[j];
           if (v == 0.0) continue;
@@ -239,25 +239,23 @@ void GruLayer::zero_grad() noexcept {
 }
 
 std::vector<std::span<double>> GruLayer::parameters() {
-  // Single invalidation point for the packed fused-step panels — every weight
-  // mutation path (optimizer steps, load_weights) writes through these views.
-  packed_dirty_ = true;
   return {w_.flat(), u_.flat(), {b_.data(), b_.size()}};
 }
 
-void GruLayer::ensure_packed() const {
-  if (!packed_dirty_) return;
+std::vector<std::span<const double>> GruLayer::parameters() const {
+  return {w_.flat(), u_.flat(), {b_.data(), b_.size()}};
+}
+
+void GruLayer::pack() {
   pack_transposed(w_, wt_);
   pack_transposed(u_, ut_);
   quantize_rows_transposed(w_, wtq_);
   quantize_rows_transposed(u_, utq_);
   bq_.assign(b_.begin(), b_.end());
-  packed_dirty_ = false;
 }
 
 template <typename T>
 void GruLayer::step_fused(const T* x, T* h, T* /*c*/, T* scratch) const {
-  ensure_packed();
   constexpr bool kQuant = std::is_same_v<T, float>;
   const std::size_t H = hidden_size_;
   const std::size_t h3 = 3 * H;

@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
+#include "nn/layer_cache.hpp"
 #include "tensor/matrix.hpp"
 
 namespace ld::nn {
@@ -25,13 +26,19 @@ class GruLayer {
   [[nodiscard]] std::size_t input_size() const noexcept { return input_size_; }
   [[nodiscard]] std::size_t hidden_size() const noexcept { return hidden_size_; }
 
-  [[nodiscard]] std::vector<tensor::Matrix> forward(const std::vector<tensor::Matrix>& inputs);
-  [[nodiscard]] std::vector<tensor::Matrix> backward(const std::vector<tensor::Matrix>& dh_out);
+  /// Same contracts as LstmLayer's; cache.state holds r_t ⊙ h_{t-1}.
+  const std::vector<tensor::Matrix>& forward(const std::vector<tensor::Matrix>& inputs,
+                                             RecurrentCache& cache) const;
+  [[nodiscard]] std::vector<tensor::Matrix> backward(const std::vector<tensor::Matrix>& dh_out,
+                                                     const RecurrentCache& cache);
 
   void zero_grad() noexcept;
   [[nodiscard]] std::vector<std::span<double>> parameters();
+  [[nodiscard]] std::vector<std::span<const double>> parameters() const;
   [[nodiscard]] std::vector<std::span<double>> gradients();
   [[nodiscard]] std::size_t parameter_count() const noexcept;
+
+  void pack();  ///< as LstmLayer::pack
 
   /// Fused single-sample inference step — same contract as
   /// LstmLayer::step_fused. GRU has no cell state, so `c` is ignored (kept
@@ -41,8 +48,6 @@ class GruLayer {
   void step_fused(const T* x, T* h, T* c, T* scratch) const;
 
  private:
-  void ensure_packed() const;
-
   std::size_t input_size_, hidden_size_;
   Activation activation_;
   tensor::Matrix w_;       // (3H x I)
@@ -51,19 +56,10 @@ class GruLayer {
   tensor::Matrix dw_, du_;
   std::vector<double> db_;
 
-  // Caches.
-  std::vector<tensor::Matrix> cache_x_;
-  std::vector<tensor::Matrix> cache_gates_;  // post-activation [z, r, g]
-  std::vector<tensor::Matrix> cache_rh_;     // r ⊙ h_{t-1}
-  std::vector<tensor::Matrix> cache_h_;
-  std::size_t cached_batch_ = 0;
-  std::size_t cached_steps_ = 0;
-
-  // Lazily packed weights for step_fused (see nn/packed_weights.hpp).
-  mutable bool packed_dirty_ = true;
-  mutable std::vector<double> wt_, ut_;    // transposed (I x 3H), (H x 3H)
-  mutable std::vector<float> wtq_, utq_;   // int8 row-quantized, dequantized
-  mutable std::vector<float> bq_;
+  // Packed weights for step_fused (see nn/packed_weights.hpp).
+  std::vector<double> wt_, ut_;    // transposed (I x 3H), (H x 3H)
+  std::vector<float> wtq_, utq_;   // int8 row-quantized, dequantized
+  std::vector<float> bq_;
 };
 
 }  // namespace ld::nn

@@ -35,18 +35,17 @@ LstmLayer::LstmLayer(std::size_t input_size, std::size_t hidden_size, Rng& rng,
   for (std::size_t i = hidden_size; i < 2 * hidden_size; ++i) b_[i] = 1.0;
 }
 
-std::vector<tensor::Matrix> LstmLayer::forward(const std::vector<tensor::Matrix>& inputs) {
+const std::vector<tensor::Matrix>& LstmLayer::forward(const std::vector<tensor::Matrix>& inputs,
+                                                     RecurrentCache& cache) const {
   const std::size_t steps = inputs.size();
   if (steps == 0) throw std::invalid_argument("LstmLayer::forward: empty sequence");
   const std::size_t batch = inputs.front().rows();
   const std::size_t h4 = 4 * hidden_size_;
 
-  cache_x_ = inputs;
-  cache_gates_.assign(steps, tensor::Matrix(batch, h4));
-  cache_c_.assign(steps, tensor::Matrix(batch, hidden_size_));
-  cache_h_.assign(steps, tensor::Matrix(batch, hidden_size_));
-  cached_batch_ = batch;
-  cached_steps_ = steps;
+  cache.x = inputs;
+  cache.gates.assign(steps, tensor::Matrix(batch, h4));
+  cache.state.assign(steps, tensor::Matrix(batch, hidden_size_));
+  cache.h.assign(steps, tensor::Matrix(batch, hidden_size_));
 
   // The previous step's state is read straight out of the caches (t = 0 reads
   // a shared zero matrix) instead of copying h/c into scratch every step.
@@ -57,12 +56,12 @@ std::vector<tensor::Matrix> LstmLayer::forward(const std::vector<tensor::Matrix>
   for (std::size_t t = 0; t < steps; ++t) {
     if (inputs[t].rows() != batch || inputs[t].cols() != input_size_)
       throw std::invalid_argument("LstmLayer::forward: inconsistent input shape");
-    tensor::Matrix& gates = cache_gates_[t];
+    tensor::Matrix& gates = cache.gates[t];
     // Pre-activations: gates = x_t W^T + h_{t-1} U^T + b.
     tensor::matmul_a_bt_into(inputs[t], w_, gates, /*accumulate=*/false);
     tensor::matmul_a_bt_into(*h_prev, u_, gates, /*accumulate=*/true);
-    tensor::Matrix& c = cache_c_[t];
-    tensor::Matrix& h = cache_h_[t];
+    tensor::Matrix& c = cache.state[t];
+    tensor::Matrix& h = cache.h[t];
     for (std::size_t r = 0; r < batch; ++r) {
       double* g = gates.data() + r * h4;
       const double* cp = c_prev->data() + r * hidden_size_;
@@ -86,12 +85,13 @@ std::vector<tensor::Matrix> LstmLayer::forward(const std::vector<tensor::Matrix>
     h_prev = &h;
     c_prev = &c;
   }
-  return cache_h_;
+  return cache.h;
 }
 
-std::vector<tensor::Matrix> LstmLayer::backward(const std::vector<tensor::Matrix>& dh_out) {
-  const std::size_t steps = cached_steps_;
-  const std::size_t batch = cached_batch_;
+std::vector<tensor::Matrix> LstmLayer::backward(const std::vector<tensor::Matrix>& dh_out,
+                                               const RecurrentCache& cache) {
+  const std::size_t steps = cache.x.size();
+  const std::size_t batch = steps == 0 ? 0 : cache.x.front().rows();
   const std::size_t h4 = 4 * hidden_size_;
   if (dh_out.size() != steps) throw std::invalid_argument("LstmLayer::backward: step mismatch");
 
@@ -102,10 +102,10 @@ std::vector<tensor::Matrix> LstmLayer::backward(const std::vector<tensor::Matrix
 
   for (std::size_t tt = steps; tt > 0; --tt) {
     const std::size_t t = tt - 1;
-    const tensor::Matrix& gates = cache_gates_[t];
-    const tensor::Matrix& c = cache_c_[t];
-    const tensor::Matrix* c_prev = t > 0 ? &cache_c_[t - 1] : nullptr;
-    const tensor::Matrix* h_prev = t > 0 ? &cache_h_[t - 1] : nullptr;
+    const tensor::Matrix& gates = cache.gates[t];
+    const tensor::Matrix& c = cache.state[t];
+    const tensor::Matrix* c_prev = t > 0 ? &cache.state[t - 1] : nullptr;
+    const tensor::Matrix* h_prev = t > 0 ? &cache.h[t - 1] : nullptr;
 
     for (std::size_t r = 0; r < batch; ++r) {
       const double* g = gates.data() + r * h4;
@@ -139,7 +139,7 @@ std::vector<tensor::Matrix> LstmLayer::backward(const std::vector<tensor::Matrix
     }
 
     // Weight gradients: dW += dG^T x_t ; dU += dG^T h_{t-1} ; db += colsum(dG).
-    tensor::matmul_at_b_into(dgates, cache_x_[t], dw_, /*accumulate=*/true);
+    tensor::matmul_at_b_into(dgates, cache.x[t], dw_, /*accumulate=*/true);
     if (h_prev != nullptr) tensor::matmul_at_b_into(dgates, *h_prev, du_, /*accumulate=*/true);
     for (std::size_t r = 0; r < batch; ++r) {
       const double* dg = dgates.data() + r * h4;
@@ -161,26 +161,23 @@ void LstmLayer::zero_grad() noexcept {
 }
 
 std::vector<std::span<double>> LstmLayer::parameters() {
-  // Every weight mutation path (optimizer steps, load_weights) writes through
-  // these views, so handing them out is the single invalidation point for the
-  // packed fused-step panels.
-  packed_dirty_ = true;
   return {w_.flat(), u_.flat(), {b_.data(), b_.size()}};
 }
 
-void LstmLayer::ensure_packed() const {
-  if (!packed_dirty_) return;
+std::vector<std::span<const double>> LstmLayer::parameters() const {
+  return {w_.flat(), u_.flat(), {b_.data(), b_.size()}};
+}
+
+void LstmLayer::pack() {
   pack_transposed(w_, wt_);
   pack_transposed(u_, ut_);
   quantize_rows_transposed(w_, wtq_);
   quantize_rows_transposed(u_, utq_);
   bq_.assign(b_.begin(), b_.end());
-  packed_dirty_ = false;
 }
 
 template <typename T>
 void LstmLayer::step_fused(const T* x, T* h, T* c, T* scratch) const {
-  ensure_packed();
   constexpr bool kQuant = std::is_same_v<T, float>;
   const std::size_t H = hidden_size_;
   const std::size_t h4 = 4 * H;

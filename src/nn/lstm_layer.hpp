@@ -19,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
+#include "nn/layer_cache.hpp"
 #include "tensor/matrix.hpp"
 
 namespace ld::nn {
@@ -34,40 +35,45 @@ class LstmLayer {
   [[nodiscard]] std::size_t input_size() const noexcept { return input_size_; }
   [[nodiscard]] std::size_t hidden_size() const noexcept { return hidden_size_; }
 
-  /// Forward over a full sequence. `inputs[t]` is a (B x input_size) matrix;
-  /// returns h_t for every t as (B x hidden_size) matrices. State starts at 0
-  /// (stateless between batches, as in the paper's fixed-window formulation).
-  [[nodiscard]] std::vector<tensor::Matrix> forward(const std::vector<tensor::Matrix>& inputs);
+  /// Forward over a full sequence into the caller's `cache`. `inputs[t]` is
+  /// a (B x input_size) matrix; returns cache.h, h_t for every t as
+  /// (B x hidden_size) matrices. State starts at 0 (stateless between
+  /// batches, as in the paper's fixed-window formulation).
+  const std::vector<tensor::Matrix>& forward(const std::vector<tensor::Matrix>& inputs,
+                                             RecurrentCache& cache) const;
 
-  /// Backward through time. `dh_out[t]` is dL/dh_t flowing from the layer
-  /// above (zero matrices where a timestep output is unused). Accumulates
-  /// weight gradients internally and returns dL/dx_t for each timestep.
-  [[nodiscard]] std::vector<tensor::Matrix> backward(const std::vector<tensor::Matrix>& dh_out);
+  /// Backward through time over the `cache` of the matching forward.
+  /// `dh_out[t]` is dL/dh_t flowing from the layer above (zero matrices
+  /// where a timestep output is unused). Accumulates weight gradients
+  /// internally and returns dL/dx_t for each timestep.
+  [[nodiscard]] std::vector<tensor::Matrix> backward(const std::vector<tensor::Matrix>& dh_out,
+                                                     const RecurrentCache& cache);
 
   void zero_grad() noexcept;
 
   /// Flat views over parameters and their gradients (W, U, b concatenated),
   /// consumed by the optimizer.
   [[nodiscard]] std::vector<std::span<double>> parameters();
+  [[nodiscard]] std::vector<std::span<const double>> parameters() const;
   [[nodiscard]] std::vector<std::span<double>> gradients();
   [[nodiscard]] std::size_t parameter_count() const noexcept;
 
+  /// Build the transposed (and int8 row-quantized) weight panels
+  /// step_fused reads. Call once the weights are final.
+  void pack();
+
   /// Fused single-sample inference step (DESIGN.md §12): advances the
   /// recurrent state one timestep — all four gate GEMVs, biases and
-  /// activations in one pass over lazily packed transposed weights, with no
+  /// activations in one pass over the packed transposed weights, with no
   /// Matrix temporaries. `x` has input_size elements; `h` and `c` hold the
   /// hidden/cell state (hidden_size each) and are updated in place;
   /// `scratch` must hold >= 4*hidden_size elements. T=double computes on the
   /// exact weights; T=float on the int8 row-quantized weights (LD_QUANT).
-  /// The packed panels are a cache of w_/u_/b_, invalidated whenever
-  /// parameters() hands out mutable views; like the forward caches, a layer
-  /// must be driven by one inference thread at a time.
+  /// Reads the panels of the last pack(), not the live weights.
   template <typename T>
   void step_fused(const T* x, T* h, T* c, T* scratch) const;
 
  private:
-  void ensure_packed() const;
-
   std::size_t input_size_, hidden_size_;
   Activation activation_ = Activation::kTanh;
   tensor::Matrix w_;          // (4H x I) input weights
@@ -76,19 +82,10 @@ class LstmLayer {
   tensor::Matrix dw_, du_;
   std::vector<double> db_;
 
-  // Forward caches (per sequence).
-  std::vector<tensor::Matrix> cache_x_;      // inputs
-  std::vector<tensor::Matrix> cache_gates_;  // post-activation gates (B x 4H)
-  std::vector<tensor::Matrix> cache_c_;      // cell states
-  std::vector<tensor::Matrix> cache_h_;      // hidden states
-  std::size_t cached_batch_ = 0;
-  std::size_t cached_steps_ = 0;
-
-  // Lazily packed weights for step_fused (see nn/packed_weights.hpp).
-  mutable bool packed_dirty_ = true;
-  mutable std::vector<double> wt_, ut_;    // transposed (I x 4H), (H x 4H)
-  mutable std::vector<float> wtq_, utq_;   // int8 row-quantized, dequantized
-  mutable std::vector<float> bq_;          // bias in float for the quant path
+  // Packed weights for step_fused (see nn/packed_weights.hpp).
+  std::vector<double> wt_, ut_;    // transposed (I x 4H), (H x 4H)
+  std::vector<float> wtq_, utq_;   // int8 row-quantized, dequantized
+  std::vector<float> bq_;          // bias in float for the quant path
 };
 
 }  // namespace ld::nn

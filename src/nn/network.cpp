@@ -69,8 +69,16 @@ LstmNetwork::LstmNetwork(LstmNetworkConfig config, std::uint64_t seed)
         return DenseLayer(config_.hidden_size, config_.output_size, rng);
       }()) {}
 
-std::vector<double> LstmNetwork::forward(const tensor::Matrix& x) {
-  if (config_.input_size != 1 || config_.output_size != 1)
+namespace {
+// Per-thread forward_one state and scratch, one set per precision (same
+// idiom as the GEMM pack buffers in tensor/simd_gemm.cpp).
+thread_local std::vector<double> t_hd, t_cd, t_sd;
+thread_local std::vector<float> t_hf, t_cf, t_sf;
+
+/// (B x T) windows as T (B x 1) timestep matrices.
+std::vector<tensor::Matrix> window_sequence(const tensor::Matrix& x,
+                                            const LstmNetworkConfig& config) {
+  if (config.input_size != 1 || config.output_size != 1)
     throw std::logic_error("LstmNetwork::forward: (B x T) form requires 1-in/1-out");
   const std::size_t batch = x.rows();
   const std::size_t steps = x.cols();
@@ -80,28 +88,41 @@ std::vector<double> LstmNetwork::forward(const tensor::Matrix& x) {
   std::vector<tensor::Matrix> seq(steps, tensor::Matrix(batch, 1));
   for (std::size_t t = 0; t < steps; ++t)
     for (std::size_t r = 0; r < batch; ++r) seq[t](r, 0) = x(r, t);
-
-  const tensor::Matrix y = forward_sequence(seq);
-  std::vector<double> out(batch);
-  for (std::size_t r = 0; r < batch; ++r) out[r] = y(r, 0);
-  return out;
+  return seq;
 }
 
-double LstmNetwork::forward_one(std::span<const double> window) {
+std::vector<double> first_column(const tensor::Matrix& y) {
+  std::vector<double> out(y.rows());
+  for (std::size_t r = 0; r < y.rows(); ++r) out[r] = y(r, 0);
+  return out;
+}
+}  // namespace
+
+std::vector<double> LstmNetwork::forward(const tensor::Matrix& x) {
+  return first_column(forward_sequence(window_sequence(x, config_)));
+}
+
+std::vector<double> LstmNetwork::forward(const tensor::Matrix& x, ForwardCaches& caches) const {
+  return first_column(forward_sequence(window_sequence(x, config_), caches));
+}
+
+double LstmNetwork::forward_one(std::span<const double> window) const {
   LD_TRACE_SPAN("nn.forward_one");
   if (config_.input_size != 1 || config_.output_size != 1)
     throw std::logic_error("LstmNetwork::forward_one: requires 1-in/1-out");
   if (window.empty())
     throw std::invalid_argument("LstmNetwork::forward_one: empty window");
+  if (!packed_)
+    throw std::logic_error("LstmNetwork::forward_one: weights changed since the last pack()");
   if (quantized_inference_enabled())
-    return forward_one_impl<float>(window, fused_hf_, fused_cf_, fused_sf_);
-  return forward_one_impl<double>(window, fused_hd_, fused_cd_, fused_sd_);
+    return forward_one_impl<float>(window, t_hf, t_cf, t_sf);
+  return forward_one_impl<double>(window, t_hd, t_cd, t_sd);
 }
 
 template <typename T>
 double LstmNetwork::forward_one_impl(std::span<const double> window,
                                      std::vector<T>& hbuf, std::vector<T>& cbuf,
-                                     std::vector<T>& scratch) {
+                                     std::vector<T>& scratch) const {
   const std::size_t H = config_.hidden_size;
   const std::size_t num_layers = layers_.size();
   hbuf.assign(num_layers * H, T(0));
@@ -116,7 +137,7 @@ double LstmNetwork::forward_one_impl(std::span<const double> window,
       T* h = hbuf.data() + li * H;
       T* c = cbuf.data() + li * H;
       std::visit(
-          [&](auto& layer) { layer.template step_fused<T>(xin, h, c, scratch.data()); },
+          [&](const auto& layer) { layer.template step_fused<T>(xin, h, c, scratch.data()); },
           layers_[li]);
       xin = h;
     }
@@ -132,62 +153,77 @@ double LstmNetwork::forward_one_impl(std::span<const double> window,
 }
 
 tensor::Matrix LstmNetwork::forward_sequence(const std::vector<tensor::Matrix>& sequence) {
+  const bool use_dropout =
+      training_ && config_.dropout > 0.0 && layers_.size() > 1;
+  dropout_masks_.clear();
+  return run_forward(sequence, caches_, use_dropout ? &dropout_rng_ : nullptr, &dropout_masks_);
+}
+
+tensor::Matrix LstmNetwork::forward_sequence(const std::vector<tensor::Matrix>& sequence,
+                                             ForwardCaches& caches) const {
+  return run_forward(sequence, caches, nullptr, nullptr);
+}
+
+tensor::Matrix LstmNetwork::run_forward(const std::vector<tensor::Matrix>& sequence,
+                                        ForwardCaches& caches, Rng* dropout_rng,
+                                        std::vector<tensor::Matrix>* masks) const {
   LD_TRACE_SPAN("nn.forward");
   if (sequence.empty()) throw std::invalid_argument("LstmNetwork: empty sequence");
   const std::size_t batch = sequence.front().rows();
-  const std::size_t steps = sequence.size();
   if (batch == 0) throw std::invalid_argument("LstmNetwork: empty batch");
   for (const tensor::Matrix& m : sequence)
     if (m.rows() != batch || m.cols() != config_.input_size)
       throw std::invalid_argument("LstmNetwork: inconsistent sequence shapes");
-  last_batch_ = batch;
-  last_steps_ = steps;
 
-  std::vector<tensor::Matrix> seq = sequence;
-  const bool use_dropout =
-      training_ && config_.dropout > 0.0 && layers_.size() > 1;
-  dropout_masks_.clear();
+  caches.layers.resize(layers_.size());
+  const std::vector<tensor::Matrix>* seq = &sequence;
+  std::vector<tensor::Matrix> dropped;  // masked copy of a layer's outputs
   for (std::size_t li = 0; li < layers_.size(); ++li) {
-    seq = std::visit(
-        [&](auto& layer) {
+    seq = &std::visit(
+        [&](const auto& layer) -> const std::vector<tensor::Matrix>& {
           using L = std::decay_t<decltype(layer)>;
           LD_TRACE_SPAN(std::is_same_v<L, LstmLayer> ? "nn.lstm.forward"
                                                      : "nn.gru.forward");
-          return layer.forward(seq);
+          return layer.forward(*seq, caches.layers[li]);
         },
         layers_[li]);
-    if (use_dropout && li + 1 < layers_.size()) {
+    if (dropout_rng != nullptr && li + 1 < layers_.size()) {
       // Variational inverted dropout: one (B x H) mask per layer boundary,
-      // shared across all timesteps of the sequence.
+      // shared across all timesteps of the sequence. The layer's cached h
+      // stays unmasked; its recurrence never saw the mask.
       tensor::Matrix mask(batch, config_.hidden_size);
       const double keep = 1.0 - config_.dropout;
-      for (double& v : mask.flat()) v = dropout_rng_.uniform() < keep ? 1.0 / keep : 0.0;
-      for (tensor::Matrix& h : seq)
+      for (double& v : mask.flat()) v = dropout_rng->uniform() < keep ? 1.0 / keep : 0.0;
+      dropped = *seq;
+      for (tensor::Matrix& h : dropped)
         for (std::size_t i = 0; i < h.size(); ++i) h.flat()[i] *= mask.flat()[i];
-      dropout_masks_.push_back(std::move(mask));
+      masks->push_back(std::move(mask));
+      seq = &dropped;
     }
   }
 
-  return head_.forward(seq.back());
+  return head_.forward(seq->back(), caches.head_x);
 }
 
 void LstmNetwork::backward(std::span<const double> dy) {
-  if (dy.size() != last_batch_) throw std::invalid_argument("LstmNetwork::backward: batch size");
-  tensor::Matrix dyd(last_batch_, 1);
-  for (std::size_t r = 0; r < last_batch_; ++r) dyd(r, 0) = dy[r];
+  const std::size_t batch = caches_.head_x.rows();
+  if (dy.size() != batch) throw std::invalid_argument("LstmNetwork::backward: batch size");
+  tensor::Matrix dyd(batch, 1);
+  for (std::size_t r = 0; r < batch; ++r) dyd(r, 0) = dy[r];
   backward_matrix(dyd);
 }
 
 void LstmNetwork::backward_matrix(const tensor::Matrix& dy) {
   LD_TRACE_SPAN("nn.backward");
-  if (dy.rows() != last_batch_ || dy.cols() != config_.output_size)
+  const std::size_t batch = caches_.head_x.rows();
+  if (dy.rows() != batch || dy.cols() != config_.output_size)
     throw std::invalid_argument("LstmNetwork::backward_matrix: shape mismatch");
-  tensor::Matrix dlast = head_.backward(dy);
+  tensor::Matrix dlast = head_.backward(dy, caches_.head_x);
 
   // Only the final timestep's hidden state feeds the head; earlier steps get
   // zero gradient from above.
-  std::vector<tensor::Matrix> dh(last_steps_,
-                                 tensor::Matrix(last_batch_, config_.hidden_size));
+  std::vector<tensor::Matrix> dh(caches_.layers.front().x.size(),
+                                 tensor::Matrix(batch, config_.hidden_size));
   dh.back() = std::move(dlast);
   for (std::size_t li = layers_.size(); li > 0; --li) {
     // Dropout mask at the boundary above layer li-1 (if any) applies to the
@@ -202,7 +238,7 @@ void LstmNetwork::backward_matrix(const tensor::Matrix& dy) {
           using L = std::decay_t<decltype(layer)>;
           LD_TRACE_SPAN(std::is_same_v<L, LstmLayer> ? "nn.lstm.backward"
                                                      : "nn.gru.backward");
-          return layer.backward(dh);
+          return layer.backward(dh, caches_.layers[li - 1]);
         },
         layers_[li - 1]);
     if (li > 1) dh = std::move(dx);
@@ -216,6 +252,7 @@ void LstmNetwork::zero_grad() noexcept {
 }
 
 std::vector<std::span<double>> LstmNetwork::parameters() {
+  packed_ = false;
   std::vector<std::span<double>> out;
   for (RecurrentLayer& layer : layers_)
     for (auto s : std::visit([](auto& l) { return l.parameters(); }, layer))
@@ -240,10 +277,15 @@ std::size_t LstmNetwork::parameter_count() const noexcept {
   return n;
 }
 
-std::vector<double> LstmNetwork::save_weights() {
+std::vector<double> LstmNetwork::save_weights() const {
   std::vector<double> snapshot;
   snapshot.reserve(parameter_count());
-  for (auto s : parameters()) snapshot.insert(snapshot.end(), s.begin(), s.end());
+  const auto append = [&](std::span<const double> s) {
+    snapshot.insert(snapshot.end(), s.begin(), s.end());
+  };
+  for (const RecurrentLayer& layer : layers_)
+    for (auto s : std::visit([](const auto& l) { return l.parameters(); }, layer)) append(s);
+  for (auto s : head_.parameters()) append(s);
   return snapshot;
 }
 
@@ -254,6 +296,11 @@ void LstmNetwork::load_weights(std::span<const double> weights) {
   for (auto s : parameters()) {
     for (double& v : s) v = weights[off++];
   }
+}
+
+void LstmNetwork::pack() {
+  for (RecurrentLayer& layer : layers_) std::visit([](auto& l) { l.pack(); }, layer);
+  packed_ = true;
 }
 
 }  // namespace ld::nn

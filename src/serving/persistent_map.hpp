@@ -29,8 +29,8 @@
 //    deterministic regardless).
 //
 // The map itself is an immutable value: `set` returns a new map and leaves
-// `*this` untouched. There is deliberately no erase — the registry never
-// unpublishes a model, and leaving it out keeps every structural invariant
+// `*this` untouched. There is deliberately no erase — the tenant table never
+// removes a tenant, and leaving it out keeps every structural invariant
 // one-directional (a version's trie only ever grows or replaces leaves).
 //
 // The Hasher template parameter exists for the verification surface only:
@@ -87,7 +87,12 @@ class PersistentHashMap {
   /// Pointer to the value stored under `key`, or nullptr. Wait-free given an
   /// immutable map: a pure walk down at most 13 shared, immutable nodes.
   [[nodiscard]] const Value* find(std::string_view key) const noexcept {
-    const std::uint64_t hash = Hasher{}(key);
+    return find(key, Hasher{}(key));
+  }
+
+  /// find() for a caller that already computed `hash` = Hasher{}(key) (the
+  /// sharded table hashes once for placement and path).
+  [[nodiscard]] const Value* find(std::string_view key, std::uint64_t hash) const noexcept {
     const Node* node = root_.get();
     for (std::size_t level = 0; node != nullptr; ++level) {
       if (node->kind != Node::Kind::kBranch) {

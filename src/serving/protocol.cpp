@@ -6,7 +6,6 @@
 #include <limits>
 #include <ostream>
 #include <map>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -237,26 +236,7 @@ bool LineProtocol::dispatch(const std::string& verb, std::istringstream& is,
       out << "OK snapshot " << service_.write_snapshot() << '\n';
     } else if (verb == "WORKLOADS") {
       out << "WORKLOADS";
-      // Stream shard-by-shard: per-shard sorted snapshots, k-way merged on
-      // the fly. The line stays globally sorted (bit-identical to the
-      // pre-sharding output) without ever building the fleet-wide list.
-      std::vector<std::vector<std::string>> runs(service_.shard_count());
-      for (std::size_t i = 0; i < runs.size(); ++i)
-        runs[i] = service_.shard_workload_names(i);
-      std::vector<std::size_t> pos(runs.size(), 0);
-      const auto later = [&](std::size_t a, std::size_t b) {
-        return runs[a][pos[a]] > runs[b][pos[b]];
-      };
-      std::priority_queue<std::size_t, std::vector<std::size_t>, decltype(later)> heads(
-          later);
-      for (std::size_t i = 0; i < runs.size(); ++i)
-        if (!runs[i].empty()) heads.push(i);
-      while (!heads.empty()) {
-        const std::size_t i = heads.top();
-        heads.pop();
-        out << ' ' << runs[i][pos[i]];
-        if (++pos[i] < runs[i].size()) heads.push(i);
-      }
+      for (const std::string& name : service_.workload_names()) out << ' ' << name;
       out << '\n';
     } else if (verb == "METRICS") {
       service_.refresh_wal_gauges();  // point-in-time gauges, priced per scrape

@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "common/stopwatch.hpp"
-#include "obs/registry.hpp"
 
 namespace ld::serving {
 
@@ -41,28 +39,20 @@ std::size_t default_shards() {
 
 std::function<void()> PublishedModel::destroy_hook_for_test;
 
-PublishedModel::PublishedModel(const core::TrainedModel& model, std::uint64_t version,
-                               std::size_t replicas)
-    : snapshot_(std::make_shared<const core::ModelSnapshot>(model.snapshot())),
-      version_(version) {
-  replicas = std::max<std::size_t>(1, replicas);
-  replicas_.reserve(replicas);
-  for (std::size_t i = 0; i < replicas; ++i) {
-    auto replica = std::make_unique<Replica>();
-    replica->model = core::TrainedModel::restore(*snapshot_);
-    replicas_.push_back(std::move(replica));
-  }
+PublishedModel::PublishedModel(std::shared_ptr<const core::TrainedModel> model,
+                               std::uint64_t version)
+    : model_(std::move(model)), version_(version) {
+  if (!model_) throw std::invalid_argument("PublishedModel: null model");
 }
 
 PublishedModel::~PublishedModel() noexcept(false) {
   if (destroy_hook_for_test) destroy_hook_for_test();
 }
 
-std::shared_ptr<const PublishedModel> PublishedModel::make(const core::TrainedModel& model,
-                                                           std::uint64_t version,
-                                                           std::size_t replicas) {
+std::shared_ptr<const PublishedModel> PublishedModel::make(
+    std::shared_ptr<const core::TrainedModel> model, std::uint64_t version) {
   return std::shared_ptr<const PublishedModel>(
-      new PublishedModel(model, version, replicas), [](const PublishedModel* p) {
+      new PublishedModel(std::move(model), version), [](const PublishedModel* p) {
         try {
           delete p;
         } catch (const std::exception& e) {
@@ -75,81 +65,11 @@ std::shared_ptr<const PublishedModel> PublishedModel::make(const core::TrainedMo
       });
 }
 
-template <typename F>
-auto PublishedModel::with_replica(F&& fn) const {
-  const std::size_t n = replicas_.size();
-  const std::size_t start = next_.fetch_add(1, std::memory_order_relaxed) % n;
-  for (std::size_t k = 0; k < n; ++k) {
-    Replica& replica = *replicas_[(start + k) % n];
-    std::unique_lock lock(replica.mu, std::try_to_lock);
-    if (lock.owns_lock()) return fn(*replica.model);
-  }
-  // Every replica busy: wait for the round-robin pick.
-  Replica& replica = *replicas_[start];
-  std::scoped_lock lock(replica.mu);
-  return fn(*replica.model);
-}
-
-double PublishedModel::predict_next(std::span<const double> history) const {
-  return with_replica([&](const core::TrainedModel& m) { return m.predict_next(history); });
-}
-
-std::vector<double> PublishedModel::predict_horizon(std::span<const double> history,
-                                                    std::size_t steps) const {
-  return with_replica(
-      [&](const core::TrainedModel& m) { return m.predict_horizon(history, steps); });
-}
-
-ModelRegistry::ModelRegistry(std::size_t shards) {
-  if (shards == 0) shards = default_shards();
-  auto& reg = obs::MetricsRegistry::global();
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->map.store(std::make_shared<const Map>());
-    shard->publish_latency = &reg.histogram(
-        "ld_registry_publish_latency", {{"shard", std::to_string(i)}}, 1e-7, 1e2);
-    shards_.push_back(std::move(shard));
-  }
-}
-
-std::shared_ptr<const PublishedModel> ModelRegistry::current(const std::string& name) const {
-  const std::shared_ptr<const Map> map = shard_for(name).map.load(std::memory_order_acquire);
-  const std::shared_ptr<const PublishedModel>* found = map->find(name);
-  return found == nullptr ? nullptr : *found;
-}
-
-void ModelRegistry::publish(const std::string& name,
-                            std::shared_ptr<const PublishedModel> model) {
-  if (!model) throw std::invalid_argument("ModelRegistry::publish: null model");
-  Shard& shard = shard_for(name);
-  std::shared_ptr<const Map> old;
-  {
-    const Stopwatch clock;  // times the O(log shard-size) path copy + swap
-    std::scoped_lock lock(shard.write_mu);
-    const std::shared_ptr<const Map> cur = shard.map.load(std::memory_order_acquire);
-    auto next = std::make_shared<const Map>(cur->set(name, std::move(model)));
-    old = shard.map.exchange(std::move(next), std::memory_order_acq_rel);
-    shard.publish_latency->observe(clock.seconds());
-  }
-  // The displaced map version (and, when no reader still holds it, the
-  // replaced model version inside it) is dropped here, outside the shard's
-  // write_mu; models built via make() guard a throwing destructor in their
-  // deleter, so a bad teardown costs a counter bump, not the process.
-  old.reset();
-}
-
-std::vector<std::string> ModelRegistry::names() const {
-  // Snapshot every shard once, sort each shard's names, then k-way merge
-  // the (disjoint) sorted runs: globally name-sorted output — identical
-  // bytes to the pre-HAMT sorted-map registry — without one fleet-wide map.
-  std::vector<std::vector<std::string>> runs;
-  runs.reserve(shards_.size());
+std::vector<std::string> merge_sorted_runs(std::vector<std::vector<std::string>> runs) {
+  // The runs are disjoint (shards partition the namespace), so a k-way merge
+  // yields the globally sorted list without one fleet-wide sort.
   std::size_t total = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    runs.push_back(shard_names(i));
-    total += runs.back().size();
-  }
+  for (const auto& run : runs) total += run.size();
   std::vector<std::size_t> pos(runs.size(), 0);
   const auto later = [&](std::size_t a, std::size_t b) {
     return runs[a][pos[a]] > runs[b][pos[b]];
@@ -166,26 +86,6 @@ std::vector<std::string> ModelRegistry::names() const {
     if (++pos[i] < runs[i].size()) heads.push(i);
   }
   return out;
-}
-
-std::size_t ModelRegistry::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_)
-    total += shard->map.load(std::memory_order_acquire)->size();
-  return total;
-}
-
-std::vector<std::string> ModelRegistry::shard_names(std::size_t shard) const {
-  return shards_.at(shard)->map.load(std::memory_order_acquire)->sorted_keys();
-}
-
-std::size_t ModelRegistry::shard_size(std::size_t shard) const {
-  return shards_.at(shard)->map.load(std::memory_order_acquire)->size();
-}
-
-std::shared_ptr<const ModelRegistry::Map> ModelRegistry::shard_snapshot(
-    std::size_t shard) const {
-  return shards_.at(shard)->map.load(std::memory_order_acquire);
 }
 
 }  // namespace ld::serving

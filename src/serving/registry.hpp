@@ -1,26 +1,17 @@
-// Lock-free model registry: the read side of the serving layer.
+// The serving layer's tenant index and its published model versions.
 //
-// A PublishedModel is an immutable, fully self-contained model version —
-// a ModelSnapshot plus a small pool of independently restored inference
-// replicas (LstmNetwork::forward mutates its activation caches, so each
-// concurrent prediction needs its own network instance; every replica is
-// restored from the same snapshot and therefore bit-identical).
+// A PublishedModel is one immutable model version: a shared, const
+// core::TrainedModel plus its version number. Inference is const (DESIGN.md
+// §8), so any number of threads predict through one version at once.
 //
-// The ModelRegistry maps workload names to their current PublishedModel with
-// RCU semantics, sharded so a fleet of independent tenants never contends on
-// one map: each workload hashes (stable FNV-1a, so placement is identical
-// across processes and platforms) to one of N shards, and each shard is its
-// own atomic shared_ptr to an immutable persistent hash-array-mapped trie
-// (persistent_map.hpp, DESIGN.md §16). Readers load the shard pointer and
-// never take a lock; writers (model publishes — rare) build the next map
-// version under the shard's writer mutex by path-copying the O(log n) spine
-// from the root to the touched leaf — NOT by copying the whole shard — and
-// atomically swap the new root in. A publish on shard 3 is invisible to
-// traffic on shard 5, and a publish into a 1M-tenant shard costs the same
-// handful of node clones as a publish into an empty one: registration
-// sweeps stay sub-linear in fleet size (ROADMAP item 1).
-// In-flight predictions keep the snapshot they started with alive through
-// shared ownership, so a concurrent publish can never invalidate them.
+// A ShardedTable maps workload names to values with RCU semantics: each
+// name hashes (stable FNV-1a) to one of N shards, and each shard is an
+// atomic shared_ptr to an immutable persistent hash-array-mapped trie
+// (persistent_map.hpp, DESIGN.md §16). Readers load the shard root and never
+// lock. The table is insert-only: an insert path-copies the O(log n) spine
+// under the shard's writer mutex and swaps the new root in. Values are never
+// replaced, so whatever changes about an entry lives behind the value's own
+// synchronisation (the service's per-tenant mutex).
 #pragma once
 
 #include <atomic>
@@ -33,12 +24,10 @@
 #include <string_view>
 #include <vector>
 
+#include "common/stopwatch.hpp"
 #include "core/model.hpp"
+#include "obs/registry.hpp"
 #include "serving/persistent_map.hpp"
-
-namespace ld::obs {
-class Histogram;
-}  // namespace ld::obs
 
 namespace ld::serving {
 
@@ -55,13 +44,10 @@ namespace ld::serving {
 /// One immutable published model version.
 class PublishedModel {
  public:
-  /// Snapshot `model` and restore `replicas` independent inference copies
-  /// (>= 1). The source model is not retained.
-  PublishedModel(const core::TrainedModel& model, std::uint64_t version,
-                 std::size_t replicas);
+  PublishedModel(std::shared_ptr<const core::TrainedModel> model, std::uint64_t version);
 
-  /// Destruction runs arbitrary model/replica teardown; declared throwing so
-  /// the make() deleter guard below is meaningful (and testable).
+  /// Destruction runs arbitrary model teardown; declared throwing so the
+  /// make() deleter guard below is meaningful (and testable).
   ~PublishedModel() noexcept(false);
 
   PublishedModel(const PublishedModel&) = delete;
@@ -69,106 +55,138 @@ class PublishedModel {
 
   /// Preferred factory: the returned shared_ptr carries a deleter that
   /// swallows (logs + counts in ld_registry_drop_errors_total) anything the
-  /// destructor throws. Without it, a throwing teardown of a replica dropped
-  /// mid-swap would propagate through shared_ptr::reset() / the registry
-  /// map's noexcept destructor and terminate the process.
+  /// destructor throws. Without it, a throwing teardown of a version dropped
+  /// mid-swap would propagate through shared_ptr::reset() and terminate the
+  /// process.
   [[nodiscard]] static std::shared_ptr<const PublishedModel> make(
-      const core::TrainedModel& model, std::uint64_t version, std::size_t replicas);
+      std::shared_ptr<const core::TrainedModel> model, std::uint64_t version);
 
   /// Test-only: invoked at the top of the destructor when set, so fault
   /// tests can simulate a throwing teardown. Not used in production.
   static std::function<void()> destroy_hook_for_test;
 
-  /// Forecast through an idle replica (round-robin + try_lock, falling back
-  /// to a blocking lock when every replica is busy). Safe to call from any
-  /// number of threads; no lock held here is ever held by a retrain.
-  [[nodiscard]] double predict_next(std::span<const double> history) const;
+  /// Forecast through the shared model. Safe to call from any number of
+  /// threads; takes no lock.
+  [[nodiscard]] double predict_next(std::span<const double> history) const {
+    return model_->predict_next(history);
+  }
   [[nodiscard]] std::vector<double> predict_horizon(std::span<const double> history,
-                                                    std::size_t steps) const;
+                                                    std::size_t steps) const {
+    return model_->predict_horizon(history, steps);
+  }
 
   [[nodiscard]] const core::Hyperparameters& hyperparameters() const noexcept {
-    return snapshot_->hyperparameters;
+    return model_->hyperparameters();
   }
-  [[nodiscard]] double validation_mape() const noexcept { return snapshot_->validation_mape; }
+  [[nodiscard]] double validation_mape() const noexcept { return model_->validation_mape(); }
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
-  [[nodiscard]] std::size_t replica_count() const noexcept { return replicas_.size(); }
-  [[nodiscard]] const core::ModelSnapshot& snapshot() const noexcept { return *snapshot_; }
+  [[nodiscard]] const core::TrainedModel& model() const noexcept { return *model_; }
 
  private:
-  struct Replica {
-    std::shared_ptr<core::TrainedModel> model;
-    std::mutex mu;  ///< guards the replica's mutable network caches
-  };
-  template <typename F>
-  auto with_replica(F&& fn) const;
-
-  std::shared_ptr<const core::ModelSnapshot> snapshot_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
+  std::shared_ptr<const core::TrainedModel> model_;
   std::uint64_t version_ = 0;
-  mutable std::atomic<std::size_t> next_{0};  ///< round-robin replica cursor
 };
 
-/// Sharded persistent-map name -> PublishedModel registry. Reads are
-/// wait-free with respect to writers: `current()` never blocks on a publish,
-/// and a publish never blocks on readers — or on publishes to other shards.
-class ModelRegistry {
+/// Merge per-shard name-sorted runs into one globally sorted list.
+[[nodiscard]] std::vector<std::string> merge_sorted_runs(
+    std::vector<std::vector<std::string>> runs);
+
+/// Sharded, insert-only persistent-map name -> V table. Reads are wait-free
+/// with respect to writers: find() never blocks on an insert, and an insert
+/// never blocks on readers — or on inserts into other shards.
+template <typename V>
+class ShardedTable {
  public:
-  /// One shard's immutable map version. Exposed so snapshot capture
-  /// (service write_snapshot) can pin a single consistent version and query
-  /// it repeatedly instead of racing N independent root loads.
-  using Map = PersistentHashMap<std::shared_ptr<const PublishedModel>>;
+  /// One shard's immutable map version. Exposed so a caller can pin a
+  /// single consistent version and walk it.
+  using Map = PersistentHashMap<V>;
 
   /// `shards` = 0 resolves default_shards() (LD_SHARDS / hardware threads).
-  explicit ModelRegistry(std::size_t shards = 1);
+  explicit ShardedTable(std::size_t shards = 1) {
+    if (shards == 0) shards = default_shards();
+    shards_.reserve(shards);
+    for (std::size_t i = 0; i < shards; ++i) {
+      auto shard = std::make_unique<Shard>();
+      shard->map.store(std::make_shared<const Map>());
+      shard->insert_latency = &obs::MetricsRegistry::global().histogram(
+          "ld_registry_publish_latency", {{"shard", std::to_string(i)}}, 1e-7, 1e2);
+      shards_.push_back(std::move(shard));
+    }
+  }
 
-  /// The workload's current model, or nullptr when none is published yet.
-  [[nodiscard]] std::shared_ptr<const PublishedModel> current(const std::string& name) const;
+  /// The value stored under `name`, or V{} when absent. One FNV-1a hash
+  /// serves both the shard placement and the trie path.
+  [[nodiscard]] V find(std::string_view name) const {
+    const std::uint64_t hash = fnv1a64(name);
+    const std::shared_ptr<const Map> map =
+        shards_[hash % shards_.size()]->map.load(std::memory_order_acquire);
+    const V* found = map->find(name, hash);
+    return found == nullptr ? V{} : *found;
+  }
 
-  /// Atomically swap in a new model version for `name` (insert or replace).
-  /// Only publishes to the same shard serialize with each other. Cost is
-  /// O(log shard-size) — the persistent map copies the root-to-leaf spine,
-  /// never the shard (timed by ld_registry_publish_latency{shard=}).
-  void publish(const std::string& name, std::shared_ptr<const PublishedModel> model);
+  /// The value stored under `name`, inserting make() first when absent.
+  /// make() runs under the shard's writer lock, at most once per name, and
+  /// before the value becomes visible to any reader; inserts into the same
+  /// shard serialize with it. Cost is O(log shard-size): the persistent map
+  /// copies the root-to-leaf spine, never the shard (the copy and swap are
+  /// timed by ld_registry_publish_latency{shard=}).
+  template <typename Make>
+  V insert(const std::string& name, Make&& make) {
+    const std::uint64_t hash = fnv1a64(name);
+    Shard& shard = *shards_[hash % shards_.size()];
+    std::shared_ptr<const Map> old;
+    V value;
+    {
+      std::scoped_lock lock(shard.write_mu);
+      const std::shared_ptr<const Map> cur = shard.map.load(std::memory_order_acquire);
+      if (const V* found = cur->find(name, hash)) return *found;
+      value = make();
+      const Stopwatch clock;
+      auto next = std::make_shared<const Map>(cur->set(name, value));
+      old = shard.map.exchange(std::move(next), std::memory_order_acq_rel);
+      shard.insert_latency->observe(clock.seconds());
+    }
+    // The displaced map version is dropped here, outside the writer lock.
+    return value;
+  }
 
   /// All names, globally sorted (k-way merge of the per-shard name-sorted
-  /// runs — sort keys are workload names, never hashes, so the output is
-  /// byte-identical to the pre-HAMT std::map registry).
-  [[nodiscard]] std::vector<std::string> names() const;
-  [[nodiscard]] std::size_t size() const;
+  /// runs — sort keys are workload names, never hashes).
+  [[nodiscard]] std::vector<std::string> names() const {
+    std::vector<std::vector<std::string>> runs;
+    runs.reserve(shards_.size());
+    for (std::size_t i = 0; i < shards_.size(); ++i) runs.push_back(shard_names(i));
+    return merge_sorted_runs(std::move(runs));
+  }
+
+  [[nodiscard]] std::size_t size() const {
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < shards_.size(); ++i) total += shard_snapshot(i)->size();
+    return total;
+  }
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
   [[nodiscard]] std::size_t shard_of(std::string_view name) const noexcept {
     return workload_shard(name, shards_.size());
   }
-  /// Names registered on one shard, sorted (shard-local snapshot; the trie
-  /// iterates in hash order, so this collects and name-sorts — O(k log k)).
-  [[nodiscard]] std::vector<std::string> shard_names(std::size_t shard) const;
-  [[nodiscard]] std::size_t shard_size(std::size_t shard) const;
+  /// Names on one shard, sorted (the trie iterates in hash order, so this
+  /// collects and name-sorts — O(k log k)).
+  [[nodiscard]] std::vector<std::string> shard_names(std::size_t shard) const {
+    return shard_snapshot(shard)->sorted_keys();
+  }
 
   /// Pin one shard's current map version. The returned map is immutable and
-  /// stays valid (and unchanging) however many publishes follow — the
-  /// iteration API for consistent multi-lookup capture (WAL snapshots) and
-  /// for streaming a shard without re-loading the root per name.
-  [[nodiscard]] std::shared_ptr<const Map> shard_snapshot(std::size_t shard) const;
+  /// stays valid (and unchanging) however many inserts follow.
+  [[nodiscard]] std::shared_ptr<const Map> shard_snapshot(std::size_t shard) const {
+    return shards_.at(shard)->map.load(std::memory_order_acquire);
+  }
 
  private:
   struct Shard {
     std::atomic<std::shared_ptr<const Map>> map;
-    std::mutex write_mu;  ///< serializes this shard's writers only
-    /// ld_registry_publish_latency{shard=}: times the publish critical
-    /// section. Under the pre-PR-10 copy-on-write std::map this measured
-    /// the O(shard-size) full copy (the ROADMAP 12s/5k-tenant pathology);
-    /// it now measures the O(log n) path copy, and the registry_complexity
-    /// regression test + bench_check --fleet gate keep it sub-linear.
-    obs::Histogram* publish_latency = nullptr;
+    std::mutex write_mu;  ///< serializes this shard's inserts only
+    obs::Histogram* insert_latency = nullptr;
   };
-
-  [[nodiscard]] const Shard& shard_for(std::string_view name) const noexcept {
-    return *shards_[workload_shard(name, shards_.size())];
-  }
-  [[nodiscard]] Shard& shard_for(std::string_view name) noexcept {
-    return *shards_[workload_shard(name, shards_.size())];
-  }
 
   std::vector<std::unique_ptr<Shard>> shards_;
 };

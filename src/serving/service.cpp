@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
@@ -103,9 +104,9 @@ bool verify_diff_enabled() noexcept {
   return v == 1;
 }
 
-PredictionService::Workload::Workload(const core::DriftConfig& drift,
-                                      const std::string& name)
-    : monitor(drift) {
+PredictionService::Tenant::Tenant(const core::DriftConfig& drift, const std::string& name,
+                                  std::size_t shard_index)
+    : shard(shard_index), monitor(drift) {
   auto& reg = obs::MetricsRegistry::global();
   const obs::Labels labels{{"workload", name}};
   obs.predict_latency =
@@ -124,12 +125,12 @@ PredictionService::Workload::Workload(const core::DriftConfig& drift,
 
 PredictionService::PredictionService(ServiceConfig config)
     : config_(std::move(config)),
-      registry_(config_.shards == 0 ? default_shards() : config_.shards) {
+      tenants_(config_.shards) {
   if (config_.max_history < 16)
     throw std::invalid_argument("serving: max_history must be >= 16");
   if (!config_.checkpoint_dir.empty())
     std::filesystem::create_directories(config_.checkpoint_dir);
-  const std::size_t n = registry_.shard_count();
+  const std::size_t n = tenants_.shard_count();
   config_.shards = n;
   shards_.reserve(n);
   auto& reg = obs::MetricsRegistry::global();
@@ -182,37 +183,37 @@ PredictionService::~PredictionService() {
   }
 }
 
-PredictionService::Workload& PredictionService::ensure_workload(const std::string& name) {
-  Shard& shard = *shards_[registry_.shard_of(name)];
-  {
-    std::scoped_lock lock(shard.map_mu);
-    const auto it = shard.workloads.find(name);
-    if (it != shard.workloads.end()) return *it->second;
-  }
+PredictionService::Tenant& PredictionService::ensure_tenant(const std::string& name) {
+  if (Tenant* t = tenants_.find(name).get()) return *t;
   validate_name(name);
-  std::scoped_lock lock(shard.map_mu);
-  auto& slot = shard.workloads[name];
-  if (!slot) {
-    slot = std::make_unique<Workload>(config_.adaptive.drift_config(), name);
-    // Journal the registration under map_mu so per-shard registration order
-    // matches apply order on replay. Replayed registrations are already
-    // durable (they came FROM the journal) and are not re-appended.
+  return *tenants_.insert(name, [&] {
+    auto t = std::make_shared<Tenant>(config_.adaptive.drift_config(), name,
+                                      tenants_.shard_of(name));
+    // Journal the registration under the shard's writer lock, before the
+    // tenant is visible: per-shard registration order matches apply order
+    // on replay. Replayed registrations are already durable (they came FROM
+    // the journal) and are not re-appended.
     if (wal_ && !wal_replaying_.load(std::memory_order_relaxed)) {
       std::string rec;
       wal::append_register(rec, name);
       wal_append(name, rec);
     }
-  }
-  return *slot;
+    return t;
+  });
 }
 
-PredictionService::Workload& PredictionService::workload(const std::string& name) const {
-  const Shard& shard = *shards_[registry_.shard_of(name)];
-  std::scoped_lock lock(shard.map_mu);
-  const auto it = shard.workloads.find(name);
-  if (it == shard.workloads.end())
-    throw std::runtime_error("serving: unknown workload '" + name + "'");
-  return *it->second;
+PredictionService::Tenant& PredictionService::tenant(const std::string& name) const {
+  Tenant* t = tenants_.find(name).get();
+  if (t == nullptr) throw std::runtime_error("serving: unknown workload '" + name + "'");
+  return *t;
+}
+
+std::shared_ptr<const PublishedModel> PredictionService::current_model(
+    const std::string& name) const {
+  Tenant* t = tenants_.find(name).get();
+  if (t == nullptr) return nullptr;
+  std::scoped_lock lock(t->mu);
+  return t->model;
 }
 
 std::string PredictionService::checkpoint_path(const std::string& name) const {
@@ -220,17 +221,17 @@ std::string PredictionService::checkpoint_path(const std::string& name) const {
 }
 
 bool PredictionService::add_workload(const std::string& name) {
-  ensure_workload(name);
-  if (registry_.current(name)) return true;
+  Tenant& t = ensure_tenant(name);
+  if (current_model(name)) return true;
   if (!config_.checkpoint_dir.empty()) {
     const std::string path = checkpoint_path(name);
     std::error_code ec;
     if (std::filesystem::exists(path, ec) || std::filesystem::exists(path + ".prev", ec)) {
       try {
         std::string loaded_from;
-        const auto model = core::load_checkpoint(path, &loaded_from);
         // Restored from our own checkpoint — don't immediately rewrite it.
-        publish_model(name, *model, /*count_retrain=*/false, /*write_checkpoint=*/false);
+        publish_model(t, name, core::load_checkpoint(path, &loaded_from),
+                      /*count_retrain=*/false, /*write_checkpoint=*/false);
         log::info("serving: warm-started '", name, "' from ", loaded_from);
         return true;
       } catch (const std::exception& e) {
@@ -244,60 +245,66 @@ bool PredictionService::add_workload(const std::string& name) {
 }
 
 void PredictionService::load_workload(const std::string& name, const std::string& path) {
-  ensure_workload(name);
-  const auto model = core::load_model_file(path);
-  publish_model(name, *model, /*count_retrain=*/false, /*write_checkpoint=*/true);
+  Tenant& t = ensure_tenant(name);
+  publish_model(t, name, core::load_model_file(path), /*count_retrain=*/false,
+                /*write_checkpoint=*/true);
 }
 
 void PredictionService::publish(const std::string& name, const core::TrainedModel& model) {
-  ensure_workload(name);
-  publish_model(name, model, /*count_retrain=*/false, /*write_checkpoint=*/true);
+  Tenant& t = ensure_tenant(name);
+  // A copy of a TrainedModel shares its (const, packed) network: cheap, and
+  // tenants published from one model share one set of weights.
+  publish_model(t, name, std::make_shared<const core::TrainedModel>(model),
+                /*count_retrain=*/false, /*write_checkpoint=*/true);
 }
 
-void PredictionService::publish_model(const std::string& name,
-                                      const core::TrainedModel& model, bool count_retrain,
-                                      bool write_checkpoint) {
-  Workload& w = workload(name);
-  std::scoped_lock publish_lock(publish_mu_);
+void PredictionService::publish_model(Tenant& t, const std::string& name,
+                                      std::shared_ptr<const core::TrainedModel> model,
+                                      bool count_retrain, bool write_checkpoint) {
+  const double validation_mape = model->validation_mape();
+  std::scoped_lock checkpoint_lock(t.checkpoint_mu);
 
   std::uint64_t version = 0;
+  std::shared_ptr<const PublishedModel> displaced;
   {
-    std::scoped_lock lock(w.mu);
-    version = ++w.version;
+    std::scoped_lock lock(t.mu);
+    version = ++t.version;
+    auto published = PublishedModel::make(model, version);
+    if (t.model) {
+      // The displaced version becomes the fallback snapshot: it served fine
+      // until a moment ago, which is more than the new version can claim.
+      displaced = std::exchange(t.last_good, std::move(t.model));
+    }
+    t.model = std::move(published);
+    t.baseline_mape = validation_mape;
+    t.last_fit_step = t.observations;
+    t.monitor.reset();
+    if (count_retrain) {
+      ++t.retrains;
+      t.obs.retrains->inc();
+    }
   }
-  auto published = PublishedModel::make(model, version, config_.replicas);
-  const std::shared_ptr<const PublishedModel> previous = registry_.current(name);
-  registry_.publish(name, published);
-  if (previous) {
-    // The displaced version becomes the fallback snapshot: it served fine
-    // until a moment ago, which is more than the new version can claim.
-    std::scoped_lock lock(w.mu);
-    w.last_good = previous;
-  }
+  // The version falling out of last_good is dropped here, outside the
+  // tenant mutex; make()'s deleter guards a throwing destructor, so a bad
+  // teardown costs a counter bump, not the process.
+  displaced.reset();
 
   if (write_checkpoint && !config_.checkpoint_dir.empty()) {
     try {
-      core::save_model_file(model, checkpoint_path(name));
+      core::save_model_file(*model, checkpoint_path(name));
     } catch (const std::exception& e) {
       log::warn("serving: checkpoint of '", name, "' failed: ", e.what());
     }
   }
 
-  std::scoped_lock lock(w.mu);
-  w.baseline_mape = model.validation_mape();
-  w.last_fit_step = w.observations;
-  w.monitor.reset();
-  if (count_retrain) {
-    ++w.retrains;
-    w.obs.retrains->inc();
-    // Journal the promotion so a recovered replica knows the retrain happened
-    // (version + retrain count survive even when the checkpoint write raced
-    // the crash — the model itself comes back from the .ldm checkpoint).
-    if (wal_ && !wal_replaying_.load(std::memory_order_relaxed)) {
-      std::string rec;
-      wal::append_promote(rec, name, version);
-      wal_append(name, rec);
-    }
+  // Journal the promotion so a recovered service knows the retrain happened
+  // (version + retrain count survive even when the checkpoint write raced
+  // the crash — the model itself comes back from the .ldm checkpoint).
+  if (count_retrain && wal_ && !wal_replaying_.load(std::memory_order_relaxed)) {
+    std::scoped_lock lock(t.mu);
+    std::string rec;
+    wal::append_promote(rec, name, version);
+    wal_append(name, rec);
   }
 }
 
@@ -308,7 +315,7 @@ void PredictionService::observe(const std::string& name, double value) {
 void PredictionService::observe_many(const std::string& name,
                                      std::span<const double> values) {
   if (values.empty()) return;
-  Workload& w = ensure_workload(name);
+  Tenant& w = ensure_tenant(name);
   // A single NaN in the history poisons every later forecast, so bad
   // samples are rejected at the door (counted, never ingested).
   csv::SanitizeStats rejected;
@@ -383,25 +390,25 @@ PredictResult PredictionService::predict_detailed(const std::string& name,
   LD_TRACE_SPAN("serve.predict");
   obs::touch_workload(name);  // heavy-hitter hook (one relaxed load when off)
   const Stopwatch clock;
-  const std::size_t shard_index = registry_.shard_of(name);
   if (const std::uint64_t rid = obs::RequestScope::current(); rid != 0) {
     auto& tracer = obs::Tracer::instance();
-    tracer.record_flow("req.shard", 't', rid, static_cast<double>(shard_index));
+    tracer.record_flow("req.shard", 't', rid, static_cast<double>(tenants_.shard_of(name)));
     tracer.record_flow("req.predict", 't', rid);
   }
-  const std::shared_ptr<const PublishedModel> model = registry_.current(name);
-  if (!model) throw std::runtime_error("serving: no model published for '" + name + "'");
-  Workload& w = workload(name);
-
+  Tenant* const tenant = tenants_.find(name).get();
+  std::shared_ptr<const PublishedModel> model;
   std::vector<double> history;
   std::size_t now = 0;
   std::shared_ptr<const PublishedModel> last_good;
-  {
-    std::scoped_lock lock(w.mu);
-    history = w.history;
-    now = w.observations;
-    last_good = w.last_good;
+  if (tenant != nullptr) {
+    std::scoped_lock lock(tenant->mu);
+    model = tenant->model;
+    history = tenant->history;
+    now = tenant->observations;
+    last_good = tenant->last_good;
   }
+  if (!model) throw std::runtime_error("serving: no model published for '" + name + "'");
+  Tenant& w = *tenant;
   if (history.empty())
     throw std::runtime_error("serving: no observations for '" + name + "' yet");
 
@@ -461,7 +468,7 @@ PredictResult PredictionService::predict_detailed(const std::string& name,
   level_counters_[static_cast<std::size_t>(result.level)]->inc();
   const double seconds = clock.seconds();
   w.obs.predict_latency->observe(seconds);
-  shards_[shard_index]->predict_latency->observe(seconds);
+  shards_[w.shard]->predict_latency->observe(seconds);
   if (config_.slo_predict_p99_seconds > 0) {
     const bool breach = seconds > config_.slo_predict_p99_seconds;
     predict_slo().record(breach);
@@ -475,7 +482,7 @@ PredictResult PredictionService::predict_detailed(const std::string& name,
       std::uint64_t prev = last_log_s.load(std::memory_order_relaxed);
       if (now_s != prev && last_log_s.compare_exchange_strong(prev, now_s,
                                                               std::memory_order_relaxed))
-        log::warn("serving: slow predict workload='", name, "' shard=", shard_index,
+        log::warn("serving: slow predict workload='", name, "' shard=", w.shard,
                   " level=", fault::to_string(result.level), " latency_ms=",
                   seconds * 1e3, " target_ms=", config_.slo_predict_p99_seconds * 1e3);
     }
@@ -499,15 +506,15 @@ std::vector<PredictResponse> PredictionService::predict_batch(
 }
 
 bool PredictionService::request_retrain(const std::string& name) {
-  if (!registry_.current(name)) return false;
-  Workload& w = workload(name);
+  Tenant* const w = tenants_.find(name).get();
+  if (w == nullptr) return false;
   double priority = 0.0;
   {
-    std::scoped_lock lock(w.mu);
-    if (w.retrain_pending) return false;
-    w.retrain_pending = true;
+    std::scoped_lock lock(w->mu);
+    if (!w->model || w->retrain_pending) return false;
+    w->retrain_pending = true;
     // Manual request: neutral severity, still traffic-weighted.
-    priority = 1.0 + static_cast<double>(w.predictions);
+    priority = 1.0 + static_cast<double>(w->predictions);
   }
   enqueue_retrain(name, priority);
   return true;
@@ -519,7 +526,7 @@ void PredictionService::enqueue_retrain(const std::string& name, double priority
   LD_FAULT_DELAY("shard.queue");
   if (const std::uint64_t rid = obs::RequestScope::current(); rid != 0)
     obs::Tracer::instance().record_flow("req.retrain_enqueue", 't', rid, priority);
-  const std::size_t si = registry_.shard_of(name);
+  const std::size_t si = tenants_.shard_of(name);
   Shard& shard = *shards_[si];
   {
     std::scoped_lock lock(sched_mu_);
@@ -595,16 +602,17 @@ void PredictionService::drain_shard(std::size_t shard_index) {
 
 void PredictionService::run_retrain(const std::string& name, Rng& backoff_rng) {
   LD_TRACE_SPAN("serve.retrain");
-  Workload& w = workload(name);
+  Tenant& w = tenant(name);
   const Stopwatch clock;
   std::size_t retrain_index = 0;
   auto history = std::make_shared<std::vector<double>>();
+  std::shared_ptr<const PublishedModel> incumbent;
   {
     std::scoped_lock lock(w.mu);
     *history = w.history;
     retrain_index = w.retrains;
+    incumbent = w.model;
   }
-  const std::shared_ptr<const PublishedModel> incumbent = registry_.current(name);
 
   std::shared_ptr<core::TrainedModel> model;
   if (incumbent) {
@@ -686,7 +694,7 @@ void PredictionService::run_retrain(const std::string& name, Rng& backoff_rng) {
       }
     }
   }
-  if (model) publish_model(name, *model, /*count_retrain=*/true, /*write_checkpoint=*/true);
+  if (model) publish_model(w, name, model, /*count_retrain=*/true, /*write_checkpoint=*/true);
   w.obs.retrain_seconds->observe(clock.seconds());
   std::uint64_t version = 0;
   {
@@ -700,7 +708,7 @@ void PredictionService::run_retrain(const std::string& name, Rng& backoff_rng) {
 }
 
 WorkloadStats PredictionService::stats(const std::string& name) const {
-  Workload& w = workload(name);
+  Tenant& w = tenant(name);
   std::scoped_lock lock(w.mu);
   return {.version = w.version,
           .observations = w.observations,
@@ -718,29 +726,11 @@ WorkloadStats PredictionService::stats(const std::string& name) const {
 }
 
 std::vector<std::string> PredictionService::workload_names() const {
-  // Per-shard sorted snapshots merged into one globally sorted list (shards
-  // partition the namespace, so merging sorted runs preserves total order).
-  std::vector<std::vector<std::string>> runs(shards_.size());
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    runs[i] = shard_workload_names(i);
-    total += runs[i].size();
-  }
-  std::vector<std::string> out;
-  out.reserve(total);
-  for (auto& run : runs) out.insert(out.end(), std::make_move_iterator(run.begin()),
-                                    std::make_move_iterator(run.end()));
-  std::sort(out.begin(), out.end());
-  return out;
+  return tenants_.names();
 }
 
 std::vector<std::string> PredictionService::shard_workload_names(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
-  std::scoped_lock lock(s.map_mu);
-  std::vector<std::string> out;
-  out.reserve(s.workloads.size());
-  for (const auto& [name, _] : s.workloads) out.push_back(name);
-  return out;
+  return tenants_.shard_names(shard);
 }
 
 metrics::LatencyHistogram PredictionService::fleet_predict_latency() const {
@@ -759,10 +749,9 @@ std::vector<std::size_t> PredictionService::shard_queue_depths() const {
 
 void PredictionService::save_workload(const std::string& name,
                                       const std::string& path) const {
-  const std::shared_ptr<const PublishedModel> model = registry_.current(name);
+  const std::shared_ptr<const PublishedModel> model = current_model(name);
   if (!model) throw std::runtime_error("serving: no model published for '" + name + "'");
-  // Round-trip through restore(): snapshots are lossless (hex-float format).
-  core::save_model_file(*core::TrainedModel::restore(model->snapshot()), path);
+  core::save_model_file(model->model(), path);
 }
 
 // --- Durability (DESIGN.md §15) ----------------------------------------------
@@ -770,7 +759,7 @@ void PredictionService::save_workload(const std::string& name,
 void PredictionService::wal_append(const std::string& name,
                                    const std::string& encoded) noexcept {
   try {
-    wal_->shard(registry_.shard_of(name)).append(encoded);
+    wal_->shard(tenants_.shard_of(name)).append(encoded);
   } catch (const std::exception& e) {
     // Durability degrades, availability doesn't: the in-memory mutation that
     // triggered this append already happened and keeps serving.
@@ -790,7 +779,7 @@ void PredictionService::restore_tenant(const wal::TenantState& tenant,
       log::warn("serving: manifest promises a model for '", tenant.name,
                 "' but no checkpoint restored — serving degraded");
     if (live) ++stats.models;
-    Workload& w = workload(tenant.name);
+    Tenant& w = this->tenant(tenant.name);
     std::scoped_lock lock(w.mu);
     // add_workload's publish bumped w.version to 1; the manifest knows the
     // real pre-crash version. Never go backwards.
@@ -813,7 +802,7 @@ void PredictionService::apply_record(const wal::Record& rec, RecoveryStats& stat
       add_workload(rec.name);
       break;
     case wal::RecordType::kObserve: {
-      Workload& w = ensure_workload(rec.name);
+      Tenant& w = ensure_tenant(rec.name);
       std::scoped_lock lock(w.mu);
       // Idempotence: a batch applies only when it continues the tenant's
       // history exactly. first_step < observations is a duplicate (already in
@@ -832,7 +821,7 @@ void PredictionService::apply_record(const wal::Record& rec, RecoveryStats& stat
       break;
     }
     case wal::RecordType::kPromote: {
-      Workload& w = ensure_workload(rec.name);
+      Tenant& w = ensure_tenant(rec.name);
       std::scoped_lock lock(w.mu);
       // The model bytes came back from the checkpoint (or didn't — then the
       // old model keeps serving); the WAL restores the accounting.
@@ -938,23 +927,18 @@ std::string PredictionService::write_snapshot() {
     manifest.shard_wal_seq[i] = wal_->shard(i).rotate();
 
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    // Pin one immutable registry map version per shard: every tenant's
-    // has_model flag is read from the same publish generation, instead of N
-    // independent root loads racing concurrent publishes mid-capture.
-    const std::shared_ptr<const ModelRegistry::Map> models = registry_.shard_snapshot(i);
-    for (const std::string& name : shard_workload_names(i)) {
-      Workload& w = workload(name);
+    for (const auto& [name, t] : tenants_.shard_snapshot(i)->sorted_entries()) {
       wal::TenantState tenant;
       tenant.name = name;
-      tenant.has_model = models->contains(name);
       {
-        std::scoped_lock lock(w.mu);
-        tenant.version = w.version;
-        tenant.observations = w.observations;
-        tenant.retrains = w.retrains;
-        tenant.baseline_mape = w.baseline_mape;
-        tenant.last_fit_step = w.last_fit_step;
-        tenant.history = w.history;
+        std::scoped_lock lock(t->mu);
+        tenant.has_model = t->model != nullptr;
+        tenant.version = t->version;
+        tenant.observations = t->observations;
+        tenant.retrains = t->retrains;
+        tenant.baseline_mape = t->baseline_mape;
+        tenant.last_fit_step = t->last_fit_step;
+        tenant.history = t->history;
       }
       manifest.tenants.push_back(std::move(tenant));
     }

@@ -3,30 +3,32 @@
 // study (predictor feeding a live auto-scaler), grown to fleet scale.
 //
 // Concurrency model (see DESIGN.md §8 and §13):
-//  - The registry and the per-workload state maps are sharded by a stable
-//    hash of the workload id (ServiceConfig::shards, default LD_SHARDS /
-//    hardware concurrency). Traffic on different shards never touches a
-//    common mutex or RCU map.
-//  - predict() reads the workload's current model via the lock-free sharded
-//    ModelRegistry and copies the (capped) history under a per-workload
-//    mutex held for microseconds. It never blocks on retraining.
+//  - One table holds every tenant: a ShardedTable keyed by a stable hash of
+//    the workload id (ServiceConfig::shards, default LD_SHARDS / hardware
+//    concurrency). Its value is the tenant record — history, counters,
+//    drift monitor, current model and last-good model — guarded by the
+//    tenant's own mutex. Registration is the table's only write; traffic on
+//    different shards never touches a common mutex or map.
+//  - predict() finds the tenant with one hash and one wait-free trie lookup,
+//    copies the (capped) history and the current model pointer in one brief
+//    tenant-mutex section, and runs const inference with no lock held. It
+//    never blocks on retraining.
 //  - observe() appends under the same brief mutex and feeds the workload's
 //    DriftMonitor; a drift decision enqueues a background retrain into the
 //    workload's *shard* queue, a priority queue ordered by drift severity ×
 //    observed traffic (the worst, busiest tenants retrain first).
 //  - A dispatcher thread submits one drain task per backlogged shard to the
 //    shared ThreadPool; each drain pops jobs in priority order and runs
-//    core::warm_retrain entirely lock-free, then atomically swaps the new
-//    PublishedModel into the registry and persists it as a checkpoint.
+//    core::warm_retrain entirely lock-free, then swaps the new
+//    PublishedModel into the tenant record and persists it as a checkpoint.
 //    Retrains on different shards run concurrently (bounded by the pool);
 //    within a shard they stay serialized. In-flight predictions finish on
-//    the old snapshot.
+//    the version they started with.
 #pragma once
 
 #include <array>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -47,15 +49,11 @@
 namespace ld::serving {
 
 struct ServiceConfig {
-  /// Registry/workload-map/retrain-queue shard count. 0 resolves
-  /// default_shards() (LD_SHARDS, falling back to hardware concurrency).
+  /// Tenant-table/retrain-queue shard count. 0 resolves default_shards()
+  /// (LD_SHARDS, falling back to hardware concurrency).
   std::size_t shards = 0;
   /// Per-workload history cap (ring semantics: oldest samples are dropped).
   std::size_t max_history = 4096;
-  /// Inference replicas per published snapshot; same-workload predictions
-  /// beyond this run sequentially on a replica (cross-workload predictions
-  /// are always independent).
-  std::size_t replicas = 2;
   /// Directory for model checkpoints; written on every publish, read by
   /// add_workload() for warm starts. Empty = no persistence.
   std::string checkpoint_dir;
@@ -169,9 +167,11 @@ class PredictionService {
   /// model tuned offline by `loaddynamics train`).
   void load_workload(const std::string& name, const std::string& path);
 
-  /// Publish `model` as the workload's current version: replicas are
-  /// restored, the registry pointer is atomically swapped, and a checkpoint
-  /// is written. In-flight predictions keep the previous snapshot.
+  /// Publish `model` as the workload's current version (registering the
+  /// workload first if needed): the tenant's model, last-good model and
+  /// version swap in one tenant-mutex section, then a checkpoint is written.
+  /// The published version shares `model`'s weights. In-flight predictions
+  /// keep the previous version.
   void publish(const std::string& name, const core::TrainedModel& model);
 
   /// Ingest one actual observation (creates the workload on first use).
@@ -209,16 +209,13 @@ class PredictionService {
   [[nodiscard]] WorkloadStats stats(const std::string& name) const;
   /// All registered workloads, globally sorted (k-way shard merge).
   [[nodiscard]] std::vector<std::string> workload_names() const;
+  /// The workload's current model, or nullptr when none is published (or
+  /// the workload is unknown).
   [[nodiscard]] std::shared_ptr<const PublishedModel> current_model(
-      const std::string& name) const {
-    return registry_.current(name);
-  }
+      const std::string& name) const;
   [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
 
-  [[nodiscard]] std::size_t shard_count() const noexcept { return registry_.shard_count(); }
-  [[nodiscard]] std::size_t shard_of(const std::string& name) const noexcept {
-    return registry_.shard_of(name);
-  }
+  [[nodiscard]] std::size_t shard_count() const noexcept { return tenants_.shard_count(); }
   /// Workloads registered on one shard, sorted. The shard-streaming form of
   /// workload_names(): WORKLOADS/STATS iterate shards instead of
   /// materializing one fleet-wide list.
@@ -280,8 +277,15 @@ class PredictionService {
     obs::Counter* retrain_timeouts = nullptr;  ///< ld_serving_retrain_timeouts_total
   };
 
-  struct Workload {
-    Workload(const core::DriftConfig& drift, const std::string& name);
+  /// One tenant: the value of the service's one table (tenants_). Never
+  /// removed, so a Tenant& stays valid for the service's lifetime.
+  struct Tenant {
+    Tenant(const core::DriftConfig& drift, const std::string& name, std::size_t shard_index);
+    const std::size_t shard;  ///< tenants_ shard (ld_predict_latency{shard=})
+    /// Serializes this tenant's publishes from the swap through the
+    /// checkpoint write, so the file on disk ends at the newest version.
+    /// Never taken by predict or observe.
+    std::mutex checkpoint_mu;
     std::mutex mu;  ///< guards everything below; held only for brief sections
     std::vector<double> history;     ///< capped tail of the observed series
     std::size_t observations = 0;    ///< total observed (absolute step count)
@@ -292,6 +296,8 @@ class PredictionService {
     std::size_t last_fit_step = 0;   ///< absolute step of the last publish
     core::DriftMonitor monitor;
     bool retrain_pending = false;
+    /// The current version; null until the first publish.
+    std::shared_ptr<const PublishedModel> model;
     /// The previously published version — the fallback when the current
     /// model misbehaves (see predict_detailed). Updated on every publish.
     std::shared_ptr<const PublishedModel> last_good;
@@ -316,15 +322,10 @@ class PredictionService {
     }
   };
 
-  /// Per-shard workload map + retrain queue. The map mutex shards what used
-  /// to be one service-wide workloads_mu_; the queue fields are guarded by
-  /// the service-wide sched_mu_ (scheduling metadata only — enqueues happen
-  /// at drift-event rate, orders of magnitude below the predict/observe hot
-  /// path).
+  /// Per-shard retrain queue, guarded by the service-wide sched_mu_
+  /// (scheduling metadata only — enqueues happen at drift-event rate,
+  /// orders of magnitude below the predict/observe hot path).
   struct Shard {
-    mutable std::mutex map_mu;
-    std::map<std::string, std::unique_ptr<Workload>> workloads;
-
     std::vector<RetrainJob> queue;  ///< binary heap (std::push/pop_heap)
     bool drain_active = false;      ///< one drain task per shard at a time
     Rng backoff_rng{0};             ///< jitters retry backoff; drain-task-only
@@ -332,8 +333,10 @@ class PredictionService {
     obs::Gauge* queue_depth = nullptr;          ///< ld_shard_queue_depth{shard=}
   };
 
-  Workload& ensure_workload(const std::string& name);
-  [[nodiscard]] Workload& workload(const std::string& name) const;
+  /// The tenant, registering it (and journaling the registration) when new.
+  Tenant& ensure_tenant(const std::string& name);
+  /// The tenant; throws std::runtime_error when `name` is unknown.
+  [[nodiscard]] Tenant& tenant(const std::string& name) const;
   /// Best-effort journal append: a WAL failure degrades durability, never
   /// availability — exceptions are counted (ld_wal_append_failures_total)
   /// and logged, and the serving mutation proceeds regardless.
@@ -343,8 +346,9 @@ class PredictionService {
   void restore_tenant(const wal::TenantState& tenant, RecoveryStats& stats);
   /// Apply one replayed journal record (idempotent — see DESIGN.md §15).
   void apply_record(const wal::Record& rec, RecoveryStats& stats);
-  void publish_model(const std::string& name, const core::TrainedModel& model,
-                     bool count_retrain, bool write_checkpoint);
+  void publish_model(Tenant& t, const std::string& name,
+                     std::shared_ptr<const core::TrainedModel> model, bool count_retrain,
+                     bool write_checkpoint);
   [[nodiscard]] std::string checkpoint_path(const std::string& name) const;
   void enqueue_retrain(const std::string& name, double priority);
   void dispatcher_loop();
@@ -352,7 +356,7 @@ class PredictionService {
   void run_retrain(const std::string& name, Rng& backoff_rng);
 
   ServiceConfig config_;
-  ModelRegistry registry_;
+  ShardedTable<std::shared_ptr<Tenant>> tenants_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Durability layer; null when ServiceConfig::wal.dir is empty.
@@ -374,8 +378,6 @@ class PredictionService {
   /// per-workload ld_degraded_predictions_total, this stays O(1) series for
   /// the fleet — /statusz reads it without touching any shard.
   std::array<obs::Counter*, 3> level_counters_{};
-
-  std::mutex publish_mu_;  ///< serializes publishes (never on the predict path)
 
   /// Retrain scheduling: dispatcher submits one drain task per backlogged
   /// shard to the shared ThreadPool; wait_idle() watches the counters.

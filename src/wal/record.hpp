@@ -12,7 +12,7 @@
 //              raw little-endian doubles — replay is idempotent because a
 //              record whose first_step != the tenant's current count is a
 //              duplicate (or post-gap) and is skipped whole.
-//   kRegister  tenant registration (ensure_workload on first contact).
+//   kRegister  tenant registration (ensure_tenant on first contact).
 //   kPromote   a retrain promotion: name + the published version. The model
 //              bytes themselves live in the .ldm checkpoint; the WAL only
 //              has to restore the version/retrain accounting.

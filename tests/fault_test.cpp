@@ -20,6 +20,7 @@
 #include "fault/watchdog.hpp"
 #include "serving/registry.hpp"
 #include "serving/service.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -53,7 +54,6 @@ std::shared_ptr<core::TrainedModel> quick_model(std::span<const double> series,
 
 serving::ServiceConfig quick_service() {
   serving::ServiceConfig cfg;
-  cfg.replicas = 2;
   cfg.background_retrain = false;
   cfg.adaptive.base.space = core::HyperparameterSpace::reduced();
   cfg.adaptive.base.space.history_max = 16;
@@ -413,26 +413,30 @@ TEST(FaultServing, WatchdogCancelsHungRetrain) {
   EXPECT_TRUE(fault::all_finite(service.predict("web", 4)));
 }
 
-TEST(FaultRegistry, ToleratesThrowingReplicaDropMidSwap) {
+TEST(FaultRegistry, ToleratesThrowingModelDropMidSwap) {
   const auto series = seasonal(240);
   const auto model_v1 = quick_model(series);
   const auto model_v2 = quick_model(series, 8);
+  const auto model_v3 = quick_model(series, 9);
 
-  serving::ModelRegistry registry;
-  registry.publish("web", serving::PublishedModel::make(*model_v1, 1, 2));
+  serving::PredictionService service(quick_service());
+  service.publish("web", *model_v1);
+  service.publish("web", *model_v2);  // v1 becomes the last-good fallback
 
   // Every drop from here on throws out of ~PublishedModel; the make() deleter
-  // must swallow it (shared_ptr::reset and the registry map's destructor are
-  // noexcept — an escape would terminate the process).
+  // must swallow and count it (shared_ptr::reset is noexcept — an escape
+  // would terminate the process). Publishing v3 drops v1 out of last_good.
+  const testutil::CounterDelta drop_errors("ld_registry_drop_errors_total");
   serving::PublishedModel::destroy_hook_for_test = [] {
     throw std::runtime_error("injected teardown failure");
   };
-  registry.publish("web", serving::PublishedModel::make(*model_v2, 2, 2));
+  service.publish("web", *model_v3);
   serving::PublishedModel::destroy_hook_for_test = nullptr;
+  EXPECT_EQ(drop_errors.delta(), 1u);
 
-  const auto current = registry.current("web");
+  const auto current = service.current_model("web");
   ASSERT_NE(current, nullptr);
-  EXPECT_EQ(current->version(), 2u);
+  EXPECT_EQ(current->version(), 3u);
   EXPECT_TRUE(std::isfinite(current->predict_next(series)));
 }
 

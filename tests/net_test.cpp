@@ -23,6 +23,7 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -55,7 +56,6 @@ serving::ServiceConfig quick_service(bool background_retrain = false,
                                      std::size_t shards = 1) {
   serving::ServiceConfig cfg;
   cfg.shards = shards;
-  cfg.replicas = 2;
   cfg.background_retrain = background_retrain;
   cfg.adaptive.base.space = core::HyperparameterSpace::reduced();
   cfg.adaptive.base.space.history_max = 16;
@@ -345,10 +345,7 @@ class RawConn {
 
   /// Block until the server closes (recv returns 0) or `seconds` elapse.
   bool wait_closed(double seconds) {
-    timeval tv{};
-    tv.tv_sec = static_cast<long>(seconds);
-    tv.tv_usec = static_cast<long>((seconds - tv.tv_sec) * 1e6);
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    set_timeout(seconds);
     char buf[4096];
     for (;;) {
       const ::ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
@@ -357,14 +354,120 @@ class RawConn {
     }
   }
 
+  /// Read until `count` complete binary frames arrived (fewer on close or
+  /// after `seconds` without data).
+  std::vector<net::Decoded> read_frames(std::size_t count, double seconds) {
+    std::vector<net::Decoded> frames;
+    while (frames.size() < count) {
+      net::Decoded d = net::decode_frame(buf_);
+      if (d.status == net::DecodeStatus::kFrame) {
+        buf_.erase(0, d.consumed);
+        frames.push_back(std::move(d));
+      } else if (d.status == net::DecodeStatus::kBad || !fill(seconds)) {
+        break;
+      }
+    }
+    return frames;
+  }
+
+  /// Read until `count` complete text lines arrived (without the '\n').
+  std::vector<std::string> read_lines(std::size_t count, double seconds) {
+    std::vector<std::string> lines;
+    while (lines.size() < count) {
+      const std::size_t nl = buf_.find('\n');
+      if (nl != std::string::npos) {
+        lines.push_back(buf_.substr(0, nl));
+        buf_.erase(0, nl + 1);
+      } else if (!fill(seconds)) {
+        break;
+      }
+    }
+    return lines;
+  }
+
   void close() {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
   }
 
  private:
+  void set_timeout(double seconds) {
+    timeval tv{};
+    tv.tv_sec = static_cast<long>(seconds);
+    tv.tv_usec = static_cast<long>((seconds - static_cast<double>(tv.tv_sec)) * 1e6);
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+
+  /// Append one recv() worth of bytes to buf_; false on close or timeout.
+  bool fill(double seconds) {
+    set_timeout(seconds);
+    char buf[4096];
+    const ::ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    if (n <= 0) return false;
+    buf_.append(buf, static_cast<std::size_t>(n));
+    return true;
+  }
+
   int fd_ = -1;
+  std::string buf_;  ///< received, not yet consumed
 };
+
+TEST_F(NetServerTest, PipelinedShedRepliesKeepRequestOrder) {
+  serving::PredictionService& service = make_service();
+  const std::vector<double> series = testutil::seasonal_series(96);
+  service.publish("web", *quick_model(series));
+  service.observe_many("web", series);
+  net::ServerConfig config;
+  config.shed_predict_depth = 4;  // a pipelined burst sheds its tail
+  start(config);
+
+  // Request i asks for horizon i+1, so every answered reply names its
+  // request; a shed reply must sit at its own request's position.
+  constexpr std::uint32_t kRequests = 48;
+  std::string burst;
+  for (std::uint32_t i = 0; i < kRequests; ++i) net::append_predict_request(burst, "web", i + 1);
+  RawConn binary("127.0.0.1", port());
+  binary.send_bytes(burst);
+  const std::vector<net::Decoded> frames = binary.read_frames(kRequests, 10.0);
+  ASSERT_EQ(frames.size(), kRequests);
+  std::size_t shed = 0;
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    if (frames[i].op == net::Op::kShed) {
+      ++shed;
+      EXPECT_EQ(frames[i].payload, "BPREDICT");
+      continue;
+    }
+    ASSERT_EQ(frames[i].op, net::Op::kPredictOk) << "reply " << i;
+    EXPECT_EQ(net::parse_predict_ok(frames[i].payload).forecast.size(), i + 1)
+        << "reply " << i << " answers another request";
+  }
+  EXPECT_GT(shed, 0u) << "the burst must exceed the shed depth";
+  EXPECT_LT(shed, std::size_t{kRequests});
+
+  std::string lines;
+  for (std::uint32_t i = 0; i < kRequests; ++i)
+    lines += "PREDICT web " + std::to_string(i + 1) + "\n";
+  RawConn text("127.0.0.1", port());
+  text.send_bytes(lines);
+  const std::vector<std::string> replies = text.read_lines(kRequests, 10.0);
+  ASSERT_EQ(replies.size(), kRequests);
+  shed = 0;
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    if (replies[i] == "503 SHED") {
+      ++shed;
+      continue;
+    }
+    std::istringstream fields(replies[i]);
+    std::string verb, name, value;
+    fields >> verb >> name;
+    ASSERT_EQ(verb + " " + name, "PRED web") << replies[i];
+    std::size_t values = 0;
+    while (fields >> value) ++values;
+    EXPECT_EQ(values, i + 1) << "reply " << i << " answers another request";
+  }
+  EXPECT_GT(shed, 0u);
+  EXPECT_LT(shed, std::size_t{kRequests});
+}
 
 TEST_F(NetServerTest, OverlongHttpRequestLineDisconnects) {
   make_service();
@@ -689,20 +792,29 @@ TEST(NetShardDeterminism, ForecastsAndRetrainsIdenticalAcrossShardCounts) {
 }
 
 TEST(NetShardDeterminism, RegistryMergesShardsSorted) {
-  serving::ModelRegistry registry(8);
-  const std::vector<double> series = testutil::seasonal_series(64);
-  const auto model = quick_model(series);
+  serving::ShardedTable<int> table(8);
   const std::vector<std::string> names = {"zeta", "alpha", "mid", "wiki", "az-vm-2017"};
-  std::uint64_t version = 1;
-  for (const std::string& name : names)
-    registry.publish(name, serving::PublishedModel::make(*model, version++, 1));
+  int next = 1;
+  for (const std::string& name : names) {
+    const int value = next++;
+    EXPECT_EQ(table.insert(name, [&] { return value; }), value);
+  }
+  // Insert-only: a second insert of a name returns the stored value and
+  // never runs its factory.
+  EXPECT_EQ(table.insert("mid", []() -> int { throw std::logic_error("re-made"); }), 3);
+  EXPECT_EQ(table.find("wiki"), 4);
+  EXPECT_EQ(table.find("absent"), 0);
+
   std::vector<std::string> expected = names;
   std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(registry.names(), expected);
-  EXPECT_EQ(registry.size(), names.size());
+  EXPECT_EQ(table.names(), expected);
+  EXPECT_EQ(table.size(), names.size());
   std::size_t across = 0;
-  for (std::size_t shard = 0; shard < registry.shard_count(); ++shard)
-    across += registry.shard_size(shard);
+  for (std::size_t shard = 0; shard < table.shard_count(); ++shard) {
+    across += table.shard_names(shard).size();
+    for (const std::string& name : table.shard_names(shard))
+      EXPECT_EQ(table.shard_of(name), shard) << name;
+  }
   EXPECT_EQ(across, names.size());
 }
 

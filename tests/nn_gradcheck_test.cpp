@@ -89,12 +89,13 @@ TEST(DenseGradCheck, AnalyticMatchesFiniteDifference) {
   Matrix x(3, 4);
   for (double& v : x.flat()) v = rng.uniform(-1.0, 1.0);
 
-  const Matrix y = dense.forward(x);
+  Matrix cache_x;  // the forward's input, which backward reads
+  const Matrix y = dense.forward(x, cache_x);
   Matrix dy(3, 2);
   for (std::size_t r = 0; r < 3; ++r)
     for (std::size_t c = 0; c < 2; ++c) dy(r, c) = y(r, c);
   dense.zero_grad();
-  const Matrix dx = dense.backward(dy);
+  const Matrix dx = dense.backward(dy, cache_x);
 
   auto params = dense.parameters();
   auto grads = dense.gradients();
@@ -103,7 +104,7 @@ TEST(DenseGradCheck, AnalyticMatchesFiniteDifference) {
     for (std::size_t i = 0; i < params[s].size(); ++i) {
       const double orig = params[s][i];
       auto loss = [&] {
-        const Matrix out = dense.forward(x);
+        const Matrix out = dense.forward(x, cache_x);
         double l = 0.0;
         for (const double v : out.flat()) l += 0.5 * v * v;
         return l;
@@ -122,9 +123,9 @@ TEST(DenseGradCheck, AnalyticMatchesFiniteDifference) {
     for (std::size_t c = 0; c < 4; ++c) {
       const double orig = x(r, c);
       x(r, c) = orig + eps;
-      const Matrix yp = dense.forward(x);
+      const Matrix yp = dense.forward(x, cache_x);
       x(r, c) = orig - eps;
-      const Matrix ym = dense.forward(x);
+      const Matrix ym = dense.forward(x, cache_x);
       x(r, c) = orig;
       double lp = 0.0, lm = 0.0;
       for (const double v : yp.flat()) lp += 0.5 * v * v;

@@ -19,6 +19,7 @@
 #include "obs/registry.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -435,7 +436,8 @@ TEST(ObsTrace, DropsWhenFullNeverBlocks) {
 }
 
 TEST(ObsTrace, TraceSessionActivatesFromEnv) {
-  const std::string path = testing::TempDir() + "obs_test_trace.json";
+  const ld::testutil::ScopedTempDir tmp("obs_trace_env");
+  const std::string path = tmp.file("obs_test_trace.json");
   ASSERT_EQ(setenv("LD_TRACE", path.c_str(), 1), 0);
   {
     ld::obs::TraceSession session;
@@ -454,7 +456,6 @@ TEST(ObsTrace, TraceSessionActivatesFromEnv) {
   bool found = false;
   for (const ParsedEvent& e : events) found |= e.name == "obs_test.session";
   EXPECT_TRUE(found);
-  std::remove(path.c_str());
   Tracer::instance().clear();
 }
 

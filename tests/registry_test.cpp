@@ -10,9 +10,10 @@
 //  - RegistryFuzz: verify::run_fuzz mutations of op scripts plus replay of
 //    the tests/golden/corpus/registry_* seed corpus — the same
 //    structure-aware corpus workflow the protocol/CSV/WAL parsers use.
-//  - RegistryConcurrency: N publisher x M reader threads on one shard
-//    assert readers always observe a fully-formed map version (no torn
-//    spine), and that names() streamed during publishes stays sorted,
+//  - RegistryConcurrency: N inserter x M reader threads on one shard of
+//    the service's ShardedTable assert readers always observe a
+//    fully-formed map version (no torn spine), that an existing entry is
+//    never replaced, and that names() streamed during inserts stays sorted,
 //    duplicate-free, and monotone. The TSan CI job runs this suite
 //    ("Registry" is in its filter).
 #include <gtest/gtest.h>
@@ -30,10 +31,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/model.hpp"
 #include "serving/persistent_map.hpp"
 #include "serving/registry.hpp"
-#include "test_util.hpp"
 #include "verify/fuzz.hpp"
 
 namespace {
@@ -293,45 +292,41 @@ TEST(RegistryFuzz, MutatedOpScriptsKeepTheOracleContract) {
 // ---------------------------------------------------------------------------
 // RegistryConcurrency (TSan filter: "Registry")
 
-std::shared_ptr<core::TrainedModel> quick_model(std::uint64_t seed = 7) {
-  const std::vector<double> series = testutil::seasonal_series(64);
-  core::ModelTrainingConfig training;
-  training.trainer.max_epochs = 4;
-  const core::Hyperparameters hp{.history_length = 12, .cell_size = 8, .num_layers = 1,
-                                 .batch_size = 32};
-  const std::size_t n_train = series.size() * 3 / 4;
-  return std::make_shared<core::TrainedModel>(
-      std::span<const double>(series).subspan(0, n_train),
-      std::span<const double>(series).subspan(n_train), hp, training, seed);
-}
-
 TEST(RegistryConcurrency, ReadersNeverSeeATornSpine) {
   constexpr std::size_t kPublishers = 4;
   constexpr std::size_t kPerPublisher = 400;
-  serving::ModelRegistry registry(1);  // one shard: all writers collide
-  const auto model = quick_model();
-  const auto published = serving::PublishedModel::make(*model, 1, 1);
+  // One shard: all writers collide. Each value is the name itself, so a
+  // reader can tell an entry from any other.
+  serving::ShardedTable<std::shared_ptr<const std::string>> table(1);
+  const auto name_of = [](std::size_t p, std::size_t i) {
+    return "w" + std::to_string(p) + "-" + std::to_string(i);
+  };
 
   std::atomic<bool> done{false};
+  std::atomic<std::size_t> remade{0};
   std::vector<std::string> all_names;
   for (std::size_t p = 0; p < kPublishers; ++p)
-    for (std::size_t i = 0; i < kPerPublisher; ++i)
-      all_names.push_back("w" + std::to_string(p) + "-" + std::to_string(i));
+    for (std::size_t i = 0; i < kPerPublisher; ++i) all_names.push_back(name_of(p, i));
 
-  // Per-publisher publish counts, released after each publish returns, so a
-  // reader can pick names it *knows* are in and demand current() finds them.
+  // Per-publisher insert counts, released after each insert returns, so a
+  // reader can pick names it *knows* are in and demand find() returns them.
   std::array<std::atomic<std::size_t>, kPublishers> acked{};
   std::vector<std::thread> publishers;
   for (std::size_t p = 0; p < kPublishers; ++p) {
     publishers.emplace_back([&, p] {
       for (std::size_t i = 0; i < kPerPublisher; ++i) {
-        const std::string name = "w" + std::to_string(p) + "-" + std::to_string(i);
-        registry.publish(name, published);
-        // Overwrites interleave with inserts: replace an earlier key so
-        // readers race against both trie shapes.
-        if (i % 7 == 3)
-          registry.publish("w" + std::to_string(p) + "-" + std::to_string(i / 2),
-                           published);
+        const std::string name = name_of(p, i);
+        (void)table.insert(name, [&] { return std::make_shared<const std::string>(name); });
+        // Re-inserts interleave with inserts: an existing key must come back
+        // unchanged without running its factory, while readers race both.
+        if (i % 7 == 3) {
+          const std::string earlier = name_of(p, i / 2);
+          const auto kept = table.insert(earlier, [&] {
+            remade.fetch_add(1, std::memory_order_relaxed);
+            return std::make_shared<const std::string>("remade");
+          });
+          if (kept == nullptr || *kept != earlier) remade.fetch_add(1, std::memory_order_relaxed);
+        }
         acked[p].store(i + 1, std::memory_order_release);
       }
     });
@@ -348,18 +343,18 @@ TEST(RegistryConcurrency, ReadersNeverSeeATornSpine) {
             static_cast<std::size_t>(rng.uniform_int(0, static_cast<long long>(kPublishers) - 1));
         const std::size_t n = acked[p].load(std::memory_order_acquire);
         if (n > 0) {
-          // Once its publish returned, a name must be findable — in every
-          // later map version, not just the one current at publish time.
+          // Once its insert returned, a name must be findable — in every
+          // later map version, not just the one current at insert time.
           const std::size_t i =
               static_cast<std::size_t>(rng.uniform_int(0, static_cast<long long>(n - 1)));
-          const auto current =
-              registry.current("w" + std::to_string(p) + "-" + std::to_string(i));
-          if (current == nullptr || current.get() != published.get())
+          const std::string name = name_of(p, i);
+          const auto found = table.find(name);
+          if (found == nullptr || *found != name)
             reader_failures.fetch_add(1, std::memory_order_relaxed);
         }
         // Read-read coherence on the shard root: sizes a thread observes are
-        // monotone because publishes only grow the map.
-        const std::size_t size = registry.size();
+        // monotone because inserts only grow the map.
+        const std::size_t size = table.size();
         if (size < last_size) reader_failures.fetch_add(1, std::memory_order_relaxed);
         last_size = size;
       }
@@ -370,29 +365,31 @@ TEST(RegistryConcurrency, ReadersNeverSeeATornSpine) {
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
   EXPECT_EQ(reader_failures.load(), 0u);
+  EXPECT_EQ(remade.load(), 0u) << "an insert replaced or re-made an existing entry";
 
-  // Every publish landed exactly once, readable and iterable.
-  EXPECT_EQ(registry.size(), all_names.size());
+  // Every insert landed exactly once, readable and iterable.
+  EXPECT_EQ(table.size(), all_names.size());
   std::vector<std::string> expected = all_names;
   std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(registry.names(), expected);
-  for (const std::string& name : all_names)
-    EXPECT_NE(registry.current(name), nullptr) << name;
+  EXPECT_EQ(table.names(), expected);
+  for (const std::string& name : all_names) {
+    const auto found = table.find(name);
+    ASSERT_NE(found, nullptr) << name;
+    EXPECT_EQ(*found, name);
+  }
 }
 
 TEST(RegistryConcurrency, NamesStreamedDuringPublishesStaysSortedAndMonotone) {
   constexpr std::size_t kNames = 600;
-  serving::ModelRegistry registry(4);
-  const auto model = quick_model(9);
-  const auto published = serving::PublishedModel::make(*model, 1, 1);
+  serving::ShardedTable<int> table(4);
 
   std::atomic<bool> done{false};
   std::atomic<std::size_t> scrape_failures{0};
   std::thread scraper([&] {
     std::vector<std::string> previous;
     while (!done.load(std::memory_order_acquire)) {
-      std::vector<std::string> now = registry.names();
-      // Byte-stability under concurrent publishes: globally sorted, no
+      std::vector<std::string> now = table.names();
+      // Byte-stability under concurrent inserts: globally sorted, no
       // duplicates, and monotone — a name can appear, never vanish.
       if (!std::is_sorted(now.begin(), now.end()) ||
           std::adjacent_find(now.begin(), now.end()) != now.end() ||
@@ -406,13 +403,13 @@ TEST(RegistryConcurrency, NamesStreamedDuringPublishesStaysSortedAndMonotone) {
   std::vector<std::string> order;
   for (std::size_t i = 0; i < kNames; ++i) order.push_back("t" + std::to_string(i));
   std::vector<std::size_t> index = shuffle_rng.permutation(order.size());
-  for (const std::size_t i : index) registry.publish(order[i], published);
+  for (const std::size_t i : index) (void)table.insert(order[i], [] { return 1; });
   done.store(true, std::memory_order_release);
   scraper.join();
 
   EXPECT_EQ(scrape_failures.load(), 0u);
   std::sort(order.begin(), order.end());
-  EXPECT_EQ(registry.names(), order);
+  EXPECT_EQ(table.names(), order);
 }
 
 }  // namespace

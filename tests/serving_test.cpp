@@ -19,6 +19,8 @@
 #include "serving/protocol.hpp"
 #include "serving/registry.hpp"
 #include "serving/service.hpp"
+#include "tensor/cpu_features.hpp"
+#include "tensor/matrix.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -48,7 +50,6 @@ std::shared_ptr<core::TrainedModel> quick_model(std::span<const double> series,
 /// Service config with cheap warm retrains so background work finishes fast.
 serving::ServiceConfig quick_service(bool background_retrain = false) {
   serving::ServiceConfig cfg;
-  cfg.replicas = 2;
   cfg.background_retrain = background_retrain;
   cfg.adaptive.base.space = core::HyperparameterSpace::reduced();
   cfg.adaptive.base.space.history_max = 16;
@@ -67,45 +68,99 @@ serving::ServiceConfig quick_service(bool background_retrain = false) {
 
 TEST(ServingRegistry, InFlightSnapshotSurvivesPublish) {
   const auto series = seasonal(240);
-  const auto model = quick_model(series);
+  const auto model_v1 = quick_model(series);
+  const auto model_v2 = quick_model(series, 8);
 
-  serving::ModelRegistry registry;
-  EXPECT_EQ(registry.current("web"), nullptr);
+  serving::PredictionService service(quick_service());
+  EXPECT_EQ(service.current_model("web"), nullptr);
 
-  registry.publish("web", std::make_shared<const serving::PublishedModel>(*model, 1, 2));
-  const auto v1 = registry.current("web");
+  service.publish("web", *model_v1);
+  const auto v1 = service.current_model("web");
   ASSERT_NE(v1, nullptr);
   EXPECT_EQ(v1->version(), 1u);
   const double before = v1->predict_next(series);
 
-  registry.publish("web", std::make_shared<const serving::PublishedModel>(*model, 2, 2));
-  const auto v2 = registry.current("web");
+  service.publish("web", *model_v2);
+  const auto v2 = service.current_model("web");
+  ASSERT_NE(v2, nullptr);
   EXPECT_EQ(v2->version(), 2u);
+  EXPECT_EQ(v2->predict_next(series), model_v2->predict_next(series));
 
-  // RCU semantics: the old snapshot stays fully usable for in-flight readers.
+  // RCU semantics: the old version stays fully usable for in-flight readers.
   EXPECT_EQ(v1->version(), 1u);
   EXPECT_EQ(v1->predict_next(series), before);
 
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_EQ(registry.names(), std::vector<std::string>{"web"});
+  EXPECT_EQ(service.workload_names(), std::vector<std::string>{"web"});
 }
 
-TEST(ServingRegistry, ReplicasAreBitIdenticalToSourceModel) {
+TEST(ServingRegistry, PublishedForecastsBitIdenticalToSourceModel) {
   const auto series = seasonal(240);
   const auto model = quick_model(series);
-  const serving::PublishedModel published(*model, 1, 3);
-  EXPECT_EQ(published.replica_count(), 3u);
-  EXPECT_EQ(published.validation_mape(), model->validation_mape());
-  EXPECT_EQ(published.hyperparameters(), model->hyperparameters());
+  serving::PredictionService service(quick_service());
+  service.publish("web", *model);
+  const auto published = service.current_model("web");
+  ASSERT_NE(published, nullptr);
+  EXPECT_EQ(published->validation_mape(), model->validation_mape());
+  EXPECT_EQ(published->hyperparameters(), model->hyperparameters());
 
   for (const std::size_t len : {40u, 100u, 240u}) {
     const std::span<const double> hist(series.data(), len);
-    EXPECT_EQ(published.predict_next(hist), model->predict_next(hist));
+    EXPECT_EQ(published->predict_next(hist), model->predict_next(hist));
   }
   const auto direct = model->predict_horizon(series, 5);
-  const auto via = published.predict_horizon(series, 5);
+  const auto via = published->predict_horizon(series, 5);
   ASSERT_EQ(via.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(via[i], direct[i]);
+}
+
+// Const inference: one PublishedModel, and clones of one TrainedModel (which
+// share its network), serve any number of threads at once with per-thread
+// scratch. Runs on the default kernel tier (the fused single-timestep path
+// on SIMD hosts) and under a per-thread kBlocked guard (the layered path
+// with thread-local caches); every result must be bit-equal to a serial run.
+TEST(ServingConcurrency, ConstInferenceBitIdenticalToSerialOnEveryPath) {
+  const auto series = seasonal(240);
+  const std::shared_ptr<const core::TrainedModel> model = quick_model(series);
+  const auto published = serving::PublishedModel::make(model, 1);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 6;
+  const std::vector<std::size_t> lengths = {13, 40, 100, 240};
+
+  for (const tensor::KernelMode mode :
+       {tensor::default_kernel_mode(), tensor::KernelMode::kBlocked}) {
+    std::vector<std::vector<double>> horizons;
+    std::vector<double> next;
+    std::vector<double> walk;
+    {
+      const tensor::ScopedKernelMode guard(mode);
+      for (const std::size_t len : lengths) {
+        const std::span<const double> hist(series.data(), len);
+        horizons.push_back(model->predict_horizon(hist, 6));
+        next.push_back(model->predict_next(hist));
+      }
+      walk = model->predict_series(series, 180);
+    }
+
+    std::vector<std::unique_ptr<ts::Predictor>> clones;
+    for (std::size_t t = 0; t < kThreads; ++t) clones.push_back(model->clone());
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const tensor::ScopedKernelMode guard(mode);
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          for (std::size_t k = 0; k < lengths.size(); ++k) {
+            const std::span<const double> hist(series.data(), lengths[k]);
+            if (published->predict_horizon(hist, 6) != horizons[k]) ++mismatches;
+            if (clones[t]->predict_next(hist) != next[k]) ++mismatches;
+          }
+          if (model->predict_series(series, 180) != walk) ++mismatches;
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(mismatches.load(), 0u) << tensor::kernel_mode_name(mode);
+  }
 }
 
 // Acceptance (a): predictions through the service are bit-identical to

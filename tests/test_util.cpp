@@ -1,16 +1,24 @@
 #include "test_util.hpp"
 
+#include <stdlib.h>
+
+#include <cerrno>
 #include <cmath>
 #include <numbers>
+#include <system_error>
 
 #include "common/rng.hpp"
 
 namespace ld::testutil {
 
 ScopedTempDir::ScopedTempDir(const std::string& tag) {
-  path_ = std::filesystem::temp_directory_path() / ("ld_test_" + tag);
-  std::filesystem::remove_all(path_);
-  std::filesystem::create_directories(path_);
+  // mkdtemp picks a fresh name atomically, so concurrent test processes
+  // (ctest -j runs each case as its own process) never share a directory.
+  std::string pattern =
+      (std::filesystem::temp_directory_path() / ("ld_test_" + tag + "_XXXXXX")).string();
+  if (mkdtemp(pattern.data()) == nullptr)
+    throw std::system_error(errno, std::generic_category(), "mkdtemp " + pattern);
+  path_ = pattern;
 }
 
 ScopedTempDir::~ScopedTempDir() {

@@ -12,9 +12,10 @@
 
 namespace ld::testutil {
 
-/// RAII scratch directory under the system temp root, unique per (tag,
-/// process). Created empty (a leftover from a crashed run is wiped first)
-/// and recursively removed on destruction.
+/// RAII scratch directory under the system temp root: a fresh, empty
+/// directory named ld_test_<tag>_XXXXXX, unique per instance (so tests
+/// running in parallel processes never collide), recursively removed on
+/// destruction.
 class ScopedTempDir {
  public:
   explicit ScopedTempDir(const std::string& tag);

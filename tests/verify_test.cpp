@@ -537,6 +537,7 @@ TEST(DifferentialFused, ForwardOneMatchesLayeredForwardBothCells) {
     cfg.num_layers = 2;
     cfg.cell = cell;
     nn::LstmNetwork net(cfg, 7);
+    net.pack();
     Rng rng(5);
     std::vector<double> window(24);
     for (double& v : window) v = rng.uniform(0.5, 2.0);
