@@ -40,10 +40,10 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(128)->Arg(256);
 
 void BM_GemmTiny(benchmark::State& state) {
-  // Pins the small-size crossover (simd::kSimdMinFlops): at n=4 (128 flops)
-  // the SIMD dispatcher must delegate to the scalar reference loop — packing
-  // overhead dwarfs the multiply — while n=8 (1024 flops) and up run the
-  // micro-kernels. A regression here means the crossover moved.
+  // Pins the small-size crossover (simd::kSimdMinFlops): at n=4 (64
+  // multiply-adds) the packed kernel must delegate to the scalar reference
+  // loop — packing overhead dwarfs the multiply — while n=8 (512) and up run
+  // the micro-tile. A regression here means the crossover moved.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(9);
   tensor::Matrix a(n, n), b(n, n), c(n, n);
@@ -61,7 +61,7 @@ void BM_LstmStep(benchmark::State& state) {
   // Single-window inference through a stacked network: the serving hot path.
   // Arg0 = hidden size, Arg1 = 1 for the fused single-timestep kernel
   // (forward_one), 0 for the layered per-step GEMM path pinned to the
-  // blocked tier — the pre-SIMD behavior the fused path must beat.
+  // blocked kernel — the layered behavior the fused path must beat.
   const auto hidden = static_cast<std::size_t>(state.range(0));
   const bool fused = state.range(1) != 0;
   nn::LstmNetwork net({.input_size = 1, .hidden_size = hidden, .num_layers = 2}, 11);
@@ -72,7 +72,7 @@ void BM_LstmStep(benchmark::State& state) {
   tensor::Matrix x(1, window.size());
   for (std::size_t t = 0; t < window.size(); ++t) x(0, t) = window[t];
 
-  const tensor::ScopedKernelMode mode(fused ? tensor::default_kernel_mode()
+  const tensor::ScopedKernelMode mode(fused ? tensor::KernelMode::kPacked
                                             : tensor::KernelMode::kBlocked);
   for (auto _ : state) {
     if (fused) {
@@ -152,7 +152,8 @@ BENCHMARK(BM_EiBatch);
 
 void BM_GemmBlocked(benchmark::State& state) {
   // Aᵀ·B path — the gradient-accumulation GEMM used by every backward pass,
-  // served by the register-blocked kernel.
+  // on the default (packed) kernel. The name predates that kernel and is kept
+  // because it keys the committed bench baseline.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   tensor::Matrix a(n, n), b(n, n), c(n, n);

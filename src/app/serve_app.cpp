@@ -99,8 +99,7 @@ env: LD_LOG_LEVEL=debug|info|warn|error|off, LD_TRACE=FILE,
      every Nth request's flow), LD_METRICS_MAX_SERIES=N (cardinality
      governor: cap exposed series, roll the long tail into
      workload="__other"), LD_NUM_THREADS=N, LD_FAULTS=SPEC, LD_FAULT_SEED=N,
-     LD_KERNEL=auto|avx512|avx2|blocked|reference (GEMM tier), LD_QUANT=1,
-     LD_WAL_FSYNC=always|interval|never (see docs/API.md, ld::fault)
+     LD_QUANT=1, LD_WAL_FSYNC=always|interval|never (see docs/API.md, ld::fault)
 )";
 
 bool ends_with(const std::string& s, const std::string& suffix) {

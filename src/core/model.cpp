@@ -131,15 +131,13 @@ double TrainedModel::predict_next(std::span<const double> history) const {
     const double v = idx >= 0 ? history[static_cast<std::size_t>(idx)] : history.front();
     window[j] = scaler_.transform(v);
   }
-  // The serving hot path: on a SIMD kernel tier, take the fused
-  // single-timestep fast path (DESIGN.md §12). Gated on the tier so
-  // LD_KERNEL=blocked|reference stays bit-identical to the pre-fused
-  // layered path (the golden gates pin that behavior), and the serving
-  // differential check — which shadows under ScopedKernelMode kReference —
-  // automatically compares fused against layered reference.
-  const tensor::KernelMode mode = tensor::kernel_mode();
+  // The serving hot path takes the fused single-timestep kernel
+  // (DESIGN.md §12). kBlocked/kReference stay bit-identical to the layered
+  // path (the golden gates pin that behavior), and the serving differential
+  // check — which shadows under ScopedKernelMode kReference — automatically
+  // compares fused against layered reference.
   double y;
-  if (mode == tensor::KernelMode::kAvx2 || mode == tensor::KernelMode::kAvx512) {
+  if (fused_predict_live()) {
     y = network_->forward_one(window);
   } else {
     tensor::Matrix x(1, w);

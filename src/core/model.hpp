@@ -10,6 +10,7 @@
 #include "nn/network.hpp"
 #include "nn/scaler.hpp"
 #include "nn/trainer.hpp"
+#include "tensor/matrix.hpp"
 #include "timeseries/predictor.hpp"
 
 namespace ld::core {
@@ -54,6 +55,14 @@ class TrainedModel final : public ts::Predictor {
   [[nodiscard]] std::string name() const override { return "loaddynamics_lstm"; }
   [[nodiscard]] std::unique_ptr<Predictor> clone() const override {
     return std::make_unique<TrainedModel>(*this);
+  }
+
+  /// Whether predict_next on the calling thread takes the fused
+  /// single-timestep path (nn::LstmNetwork::forward_one): exactly when the
+  /// packed production kernel is selected. kBlocked and kReference keep the
+  /// layered path, which the golden gates pin and LD_VERIFY_DIFF shadows.
+  [[nodiscard]] static bool fused_predict_live() noexcept {
+    return tensor::kernel_mode() == tensor::KernelMode::kPacked;
   }
 
   /// Recursive multi-step forecast: each step feeds the previous prediction

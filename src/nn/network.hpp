@@ -62,9 +62,10 @@ class LstmNetwork {
   /// over int8 row-quantized weights (the head stays fp64). Scratch is
   /// thread-local, so concurrent calls are safe. Reads the weight panels of
   /// the last pack() and throws std::logic_error when the weights changed
-  /// since. TrainedModel::predict_next dispatches here when a SIMD kernel
-  /// tier is selected, so LD_KERNEL=blocked|reference keeps the layered path
-  /// bit-identical to pre-fused behavior. Requires 1-in/1-out.
+  /// since. TrainedModel::predict_next dispatches here when the packed
+  /// kernel is selected (TrainedModel::fused_predict_live), so kBlocked and
+  /// kReference keep the layered path bit-identical to pre-fused behavior.
+  /// Requires 1-in/1-out.
   [[nodiscard]] double forward_one(std::span<const double> window) const;
 
   /// General form: `sequence[t]` is a (B x input_size) feature matrix —

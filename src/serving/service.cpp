@@ -62,15 +62,13 @@ double steady_seconds() {
 void diff_check_forecast(const std::string& name, const PublishedModel& model,
                          std::span<const double> history, std::size_t horizon,
                          std::span<const double> live) {
-  // On a SIMD tier the live predict runs the fused single-timestep path,
-  // whose regrouped accumulation diverges further from the layered reference
-  // than blocked-vs-reference does — pick the bound that matches what
-  // actually ran.
-  const tensor::KernelMode mode = tensor::kernel_mode();
-  const bool fused_live = mode == tensor::KernelMode::kAvx2 ||
-                          mode == tensor::KernelMode::kAvx512;
-  const std::uint64_t bound =
-      fused_live ? verify::kFusedPredictUlpBound : verify::kPredictUlpBound;
+  // When the live predict ran the fused single-timestep path, its regrouped
+  // accumulation diverges further from the layered reference than
+  // blocked-vs-reference does — pick the bound that matches what actually
+  // ran.
+  const std::uint64_t bound = core::TrainedModel::fused_predict_live()
+                                  ? verify::kFusedPredictUlpBound
+                                  : verify::kPredictUlpBound;
   std::vector<double> reference;
   try {
     const tensor::ScopedKernelMode guard(tensor::KernelMode::kReference);

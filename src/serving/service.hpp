@@ -143,8 +143,8 @@ struct PredictResult {
 /// setter was never called — every live forecast is recomputed with the
 /// serial reference kernels (tensor::KernelMode::kReference) and compared
 /// ULP-wise against the production path. A divergence beyond the documented
-/// bound — verify::kPredictUlpBound for the blocked tier,
-/// verify::kFusedPredictUlpBound when a SIMD tier's fused inference ran —
+/// bound — verify::kPredictUlpBound for the layered path,
+/// verify::kFusedPredictUlpBound when the fused inference ran —
 /// bumps ld_verify_diff_mismatch_total{workload=} and logs a warning; the
 /// production forecast is served either way.
 /// Roughly doubles predict cost — a canary/debug mode, not a default.

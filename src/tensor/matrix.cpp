@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/cpu_features.hpp"
 #include "tensor/simd_gemm.hpp"
 
 namespace ld::tensor {
@@ -63,7 +62,7 @@ Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
 Matrix operator*(Matrix a, double s) { return a *= s; }
 
 namespace {
-thread_local KernelMode t_kernel_mode = default_kernel_mode();
+thread_local KernelMode t_kernel_mode = KernelMode::kPacked;
 
 // Reference kernels: the textbook serial loops the blocked/packed kernels
 // are differentially tested against. Deliberately free of packing, tiling
@@ -206,21 +205,13 @@ void gemm_at_b(const double* a, const double* b, double* c, std::size_t m, std::
   }
 }
 
-bool is_simd_tier(KernelMode mode) noexcept {
-  return mode == KernelMode::kAvx2 || mode == KernelMode::kAvx512;
-}
-
-// Tier that actually runs for a problem of m*n*k multiply-adds. A SIMD tier
-// requested on a host/build that cannot execute it (e.g. ScopedKernelMode in
-// a portable test) degrades to kBlocked instead of faulting; below the
-// crossover size the SIMD tiers delegate to the reference loop, whose lack
-// of packing/dispatch overhead wins on tiny shapes (pinned by BM_GemmTiny).
+// Mode that actually runs for a problem of m*n*k multiply-adds: below the
+// crossover size the packed kernel delegates to the reference loop, whose
+// lack of packing overhead wins on tiny shapes (pinned by BM_GemmTiny).
 KernelMode effective_mode(std::size_t flops) {
   const KernelMode mode = t_kernel_mode;
-  if (is_simd_tier(mode)) {
-    if (!kernel_mode_supported(mode)) return KernelMode::kBlocked;
-    if (flops < simd::kSimdMinFlops) return KernelMode::kReference;
-  }
+  if (mode == KernelMode::kPacked && flops < simd::kSimdMinFlops)
+    return KernelMode::kReference;
   return mode;
 }
 }  // namespace
@@ -247,8 +238,8 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
     case KernelMode::kBlocked:
       gemm(a.data(), b.data(), c.data(), m, k, n);
       break;
-    default:
-      simd::gemm(a.data(), b.data(), c.data(), m, k, n, t_kernel_mode);
+    case KernelMode::kPacked:
+      simd::gemm(a.data(), b.data(), c.data(), m, k, n);
       break;
   }
 }
@@ -266,8 +257,8 @@ void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c, bool accumula
     case KernelMode::kBlocked:
       gemm_at_b(a.data(), b.data(), c.data(), m, k, n);
       break;
-    default:
-      simd::gemm_at_b(a.data(), b.data(), c.data(), m, k, n, t_kernel_mode);
+    case KernelMode::kPacked:
+      simd::gemm_at_b(a.data(), b.data(), c.data(), m, k, n);
       break;
   }
 }
@@ -283,9 +274,9 @@ void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c, bool accumula
       gemm_a_bt_reference(a.data(), b.data(), c.data(), m, k, n);
       return;
     case KernelMode::kBlocked:
-      break;  // inline blocked loops below (pre-SIMD production path)
-    default:
-      simd::gemm_a_bt(a.data(), b.data(), c.data(), m, k, n, t_kernel_mode);
+      break;  // inline blocked loops below
+    case KernelMode::kPacked:
+      simd::gemm_a_bt(a.data(), b.data(), c.data(), m, k, n);
       return;
   }
 #pragma omp parallel for if (m * n * k > 1u << 16)

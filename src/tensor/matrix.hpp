@@ -2,9 +2,9 @@
 //
 // Double precision throughout: the traces span six orders of magnitude
 // (Azure JARs of ~10 vs Wikipedia JARs of millions) and the GP solver needs
-// the headroom. GEMM is register-blocked and OpenMP-parallel; sizes in this
-// project are small-to-medium (hundreds), so cache blocking is deliberately
-// simple.
+// the headroom. GEMM packs its operands into register-sized panels and
+// splits row panels over the ThreadPool; sizes in this project are
+// small-to-medium (hundreds), so cache blocking is deliberately simple.
 #pragma once
 
 #include <cstddef>
@@ -60,30 +60,27 @@ class Matrix {
 [[nodiscard]] Matrix operator*(Matrix a, double s);
 
 /// Which GEMM implementation the matmul entry points dispatch to
-/// (DESIGN.md §12). Tiers, fastest first:
-///  - kAvx512 / kAvx2: explicit-intrinsic micro-tile kernels over packed
-///    panels (src/tensor/simd_gemm.*), ThreadPool-parallel above a size
-///    threshold, falling back to the reference loop below a crossover size.
-///    Only selectable when compiled in (LD_ENABLE_SIMD) and CPUID agrees.
-///  - kBlocked: the portable register-blocked + OpenMP kernels — the
-///    pre-SIMD production path, kept bit-identical so golden gates pin it.
+/// (DESIGN.md §12):
+///  - kPacked: the production kernel and every thread's default. Operands
+///    are packed into panels and swept by one portable micro-tile that
+///    accumulates each C element with std::fma (src/tensor/simd_gemm.*),
+///    ThreadPool-parallel above a size threshold, falling back to the
+///    reference loop below a crossover size.
+///  - kBlocked: the register-blocked + OpenMP kernels, kept bit-identical to
+///    the build the golden gates were recorded on, so those gates pin it.
 ///  - kReference: plain serial triple loop (no packing, no OpenMP, no
 ///    tiling), the oracle for differential testing (src/verify/).
-/// Every tier sums each C element over k in ascending order in one pass, so
-/// tiers agree within a few ULP — bounds are pinned in verify/ulp.hpp and
-/// enforced in verify_test — and each tier is bit-identical to itself for
+/// Every mode sums each C element over k in ascending order in one pass, so
+/// modes agree within a few ULP — bounds are pinned in verify/ulp.hpp and
+/// enforced in verify_test — and each mode is bit-identical to itself for
 /// any thread count.
-enum class KernelMode { kBlocked, kReference, kAvx2, kAvx512 };
+enum class KernelMode { kPacked, kBlocked, kReference };
 
 /// Per-thread kernel selection (dispatch happens on the calling thread,
 /// before any OpenMP/ThreadPool region, so the mode never races with worker
-/// threads). New threads start at default_kernel_mode().
+/// threads). New threads start at kPacked.
 [[nodiscard]] KernelMode kernel_mode() noexcept;
 void set_kernel_mode(KernelMode mode) noexcept;
-
-/// Process-wide default tier, resolved once from LD_KERNEL
-/// (auto|avx512|avx2|blocked|reference) and CPUID (src/tensor/cpu_features.*).
-[[nodiscard]] KernelMode default_kernel_mode() noexcept;
 
 /// RAII kernel-mode switch for differential tests and LD_VERIFY_DIFF.
 class ScopedKernelMode {

@@ -1,69 +1,51 @@
-// Internal interface of the runtime-dispatched SIMD GEMM tiers
-// (DESIGN.md §12). Only matrix.cpp and the per-ISA kernel TUs include this.
+// Internal interface of the packed GEMM (DESIGN.md §12), the production
+// kernel behind KernelMode::kPacked. Only matrix.cpp includes this.
 //
-// Packing layout shared by every tier:
-//  - B is packed once per call into zero-padded panels of kPanelWidth = 8
-//    columns, panel pj at bp + pj*k*8, element (p, jj) at bp[p*8 + jj]. A
-//    16-wide AVX-512 micro-tile simply consumes two consecutive panels.
-//  - A is packed per row-panel of `mr` rows, p-major: ap[p*mr + ii] feeds C
-//    row i0+ii at reduction step p. Edge panels (m % mr) are zero-padded to
-//    the full mr so the microkernel never branches on the row count; only
+// Packing layout:
+//  - B is packed once per call into zero-padded panels of kNr columns, the
+//    panel of columns [j0, j0+kNr) at bp + j0*k, element (p, jj) at
+//    panel[p*kNr + jj]. A last panel with at most kNr/2 live columns is
+//    packed kNr/2 wide instead (and multiplied by a half-width tile).
+//  - A is packed per row-panel of kMr rows, p-major: ap[p*kMr + ii] feeds C
+//    row i0+ii at reduction step p. Edge panels (m % kMr) are zero-padded to
+//    the full kMr so the micro-tile never branches on the row count; only
 //    the live `mi` rows are written back.
 //
-// Determinism contract: every C element is owned by exactly one micro-tile
-// and accumulates over p in ascending order in a single pass (one FMA per
-// step), so results are bit-identical for any ThreadPool size — the
-// row-panel partition changes where a panel runs, never its arithmetic.
+// Arithmetic contract: the micro-tile computes every C element as
+// acc = std::fma(a, b, acc) over ascending p starting from acc = 0, then
+// c += acc. Every C element is owned by exactly one micro-tile, so results
+// are bit-identical for any ThreadPool size (the row-panel partition changes
+// where a panel runs, never its arithmetic), for any tile shape, and for any
+// ISA the compiler targets — std::fma rounds once wherever it runs.
 #pragma once
 
 #include <cstddef>
 
-#include "tensor/matrix.hpp"
-
 namespace ld::tensor::simd {
 
-/// Packed B panel width (doubles). AVX2 tiles consume one panel (2 ymm),
-/// AVX-512 tiles consume two consecutive panels (2 zmm).
-inline constexpr std::size_t kPanelWidth = 8;
+/// Micro-tile shape: kMr C rows x kNr C cols (the B panel width). Tuned for
+/// wall clock only; the shape never changes a result bit.
+inline constexpr std::size_t kMr = 8;
+inline constexpr std::size_t kNr = 16;
 
-/// Micro-tile row counts.
-inline constexpr std::size_t kMrAvx2 = 4;
-inline constexpr std::size_t kMrAvx512 = 8;
-
-/// Below this m*n*k the packing + dispatch overhead costs more than the
-/// SIMD tiles save, so the tiers delegate to the plain reference loops
-/// (pinned by BM_GemmTiny; see bench/perf_micro.cpp).
+/// Below this m*n*k the packing overhead costs more than the micro-tile
+/// saves, so matrix.cpp runs the plain reference loops instead (pinned by
+/// BM_GemmTiny; see bench/perf_micro.cpp).
 inline constexpr std::size_t kSimdMinFlops = 512;
 
 /// Above this m*n*k, row panels are distributed over ThreadPool::global()
 /// (B is packed serially first; never nested inside a pool worker).
 inline constexpr std::size_t kParallelMinFlops = std::size_t{1} << 22;
 
-/// Whether the per-ISA kernel TUs were compiled into this binary
-/// (LD_ENABLE_SIMD + compiler flag support at configure time).
-[[nodiscard]] bool avx2_kernels_compiled() noexcept;
-[[nodiscard]] bool avx512_kernels_compiled() noexcept;
-
-/// One micro-tile: C[0..mi) x [0..jw) += packed-A panel · packed-B panel(s).
-/// `ap` is an mr-row p-major panel, `bp` the first 8-wide B panel, `c` the
-/// tile's top-left corner, `ldc` the C row stride. `jw` <= 8 for AVX2,
-/// <= 16 for AVX-512 (two consecutive panels). Defined in the per-ISA TUs;
-/// must not be called unless the matching CPU feature is present.
-void gemm_tile_avx2(const double* ap, const double* bp, double* c, std::size_t ldc,
-                    std::size_t k, std::size_t mi, std::size_t jw);
-void gemm_tile_avx512(const double* ap, const double* bp, double* c, std::size_t ldc,
-                      std::size_t k, std::size_t mi, std::size_t jw);
-
-/// Operand forms the drivers pack from (all produce C += op(A) · op(B)):
+/// Operand forms the entry points pack from (all produce C += op(A) · op(B)):
 ///  - gemm:      A (m x k) row-major,      B (k x n) row-major
 ///  - gemm_at_b: A stored (k x m) = A^T,   B (k x n) row-major
 ///  - gemm_a_bt: A (m x k) row-major,      B stored (n x k) = B^T
-/// `tier` must be kAvx2 or kAvx512 and supported on this host.
 void gemm(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
-          std::size_t n, KernelMode tier);
+          std::size_t n);
 void gemm_at_b(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
-               std::size_t n, KernelMode tier);
+               std::size_t n);
 void gemm_a_bt(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
-               std::size_t n, KernelMode tier);
+               std::size_t n);
 
 }  // namespace ld::tensor::simd

@@ -76,7 +76,7 @@ constexpr double kMapeRelTol = 0.05;  // 5% of the golden value
 /// (milliseconds, not minutes — its exact weights are part of the golden
 /// contract via the checkpoint CRC).
 std::shared_ptr<core::TrainedModel> train_tiny_model() {
-  // Pin the pre-SIMD kernel tier: the exact weights (and their checkpoint
+  // Pin the blocked kernel: the exact weights (and their checkpoint
   // CRC) were goldened under the blocked kernels, and training is chaotic
   // enough that any few-ULP GEMM difference diverges the CRC.
   const tensor::ScopedKernelMode pinned(tensor::KernelMode::kBlocked);

@@ -34,10 +34,10 @@ inline constexpr std::uint64_t kGemmUlpBound = 16;    ///< one GEMM call
 inline constexpr std::uint64_t kLstmUlpBound = 1024;  ///< a full recurrent forward pass
 inline constexpr std::uint64_t kPredictUlpBound = 4096;  ///< multi-step serving forecast
 
-/// One SIMD-tier GEMM call (kAvx2/kAvx512, serial or ThreadPool-parallel) vs
-/// the scalar reference. The micro-tiles keep the ascending-k single-pass
-/// order, so divergence is still just FMA contraction — but the explicit
-/// intrinsic FMAs can differ from whatever the compiler contracted in the
+/// One packed GEMM call (kPacked, serial or ThreadPool-parallel) vs the
+/// scalar reference. The micro-tile keeps the ascending-k single-pass order,
+/// so divergence is still just FMA contraction — but the tile's explicit
+/// std::fma chain can differ from whatever the compiler contracted in the
 /// reference loop, so the bound gets headroom over kGemmUlpBound.
 inline constexpr std::uint64_t kSimdGemmUlpBound = 64;
 

@@ -19,7 +19,6 @@
 #include "serving/protocol.hpp"
 #include "serving/registry.hpp"
 #include "serving/service.hpp"
-#include "tensor/cpu_features.hpp"
 #include "tensor/matrix.hpp"
 #include "test_util.hpp"
 
@@ -115,9 +114,9 @@ TEST(ServingRegistry, PublishedForecastsBitIdenticalToSourceModel) {
 
 // Const inference: one PublishedModel, and clones of one TrainedModel (which
 // share its network), serve any number of threads at once with per-thread
-// scratch. Runs on the default kernel tier (the fused single-timestep path
-// on SIMD hosts) and under a per-thread kBlocked guard (the layered path
-// with thread-local caches); every result must be bit-equal to a serial run.
+// scratch. Runs under the packed kernel (the fused single-timestep path) and
+// under a per-thread kBlocked guard (the layered path with thread-local
+// caches); every result must be bit-equal to a serial run.
 TEST(ServingConcurrency, ConstInferenceBitIdenticalToSerialOnEveryPath) {
   const auto series = seasonal(240);
   const std::shared_ptr<const core::TrainedModel> model = quick_model(series);
@@ -127,7 +126,7 @@ TEST(ServingConcurrency, ConstInferenceBitIdenticalToSerialOnEveryPath) {
   const std::vector<std::size_t> lengths = {13, 40, 100, 240};
 
   for (const tensor::KernelMode mode :
-       {tensor::default_kernel_mode(), tensor::KernelMode::kBlocked}) {
+       {tensor::KernelMode::kPacked, tensor::KernelMode::kBlocked}) {
     std::vector<std::vector<double>> horizons;
     std::vector<double> next;
     std::vector<double> walk;
@@ -159,7 +158,8 @@ TEST(ServingConcurrency, ConstInferenceBitIdenticalToSerialOnEveryPath) {
       });
     }
     for (auto& thread : threads) thread.join();
-    EXPECT_EQ(mismatches.load(), 0u) << tensor::kernel_mode_name(mode);
+    EXPECT_EQ(mismatches.load(), 0u)
+        << (mode == tensor::KernelMode::kPacked ? "packed" : "blocked");
   }
 }
 

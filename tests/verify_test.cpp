@@ -1,8 +1,8 @@
 // Tests for the verification harness (DESIGN.md §11/§12): the golden-file
 // framework, ULP helpers, and the differential kernel suite that enforces
-// the documented agreement bounds — reference vs blocked, reference vs the
-// AVX2/AVX-512 SIMD tiers (serial and ThreadPool-parallel), and the fused
-// single-timestep inference path (fp64 and int8-quantized).
+// the documented agreement bounds — reference vs blocked, reference and the
+// std::fma chain vs the packed kernel (serial and ThreadPool-parallel), and
+// the fused single-timestep inference path (fp64 and int8-quantized).
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -22,7 +22,6 @@
 #include "core/model.hpp"
 #include "nn/network.hpp"
 #include "serving/service.hpp"
-#include "tensor/cpu_features.hpp"
 #include "tensor/matrix.hpp"
 #include "test_util.hpp"
 #include "verify/golden.hpp"
@@ -246,17 +245,16 @@ TEST(DifferentialGemm, AccumulateVariantAgrees) {
 
 TEST(DifferentialGemm, KernelModeIsThreadLocal) {
   // Selecting the reference kernel on this thread must not leak into other
-  // threads: a fresh thread still starts at the dispatched production tier
-  // (default_kernel_mode() — LD_KERNEL/CPUID). (A ThreadPool::submit would
-  // not prove this — it executes inline on the caller when the pool has no
-  // workers.)
+  // threads: a fresh thread still starts at the packed production kernel.
+  // (A ThreadPool::submit would not prove this — it executes inline on the
+  // caller when the pool has no workers.)
   Rng rng(3);
   const tensor::Matrix a = random_matrix(40, 40, rng);
   const tensor::Matrix b = random_matrix(40, 40, rng);
-  tensor::Matrix dispatched;
+  tensor::Matrix packed;
   {
-    tensor::ScopedKernelMode pin(tensor::default_kernel_mode());
-    dispatched = tensor::matmul(a, b);
+    tensor::ScopedKernelMode pin(tensor::KernelMode::kPacked);
+    packed = tensor::matmul(a, b);
   }
 
   tensor::ScopedKernelMode mode(tensor::KernelMode::kReference);
@@ -268,33 +266,22 @@ TEST(DifferentialGemm, KernelModeIsThreadLocal) {
     from_thread = tensor::matmul(a, b);
   });
   worker.join();
-  EXPECT_EQ(seen, tensor::default_kernel_mode())
-      << "a fresh thread must default to the dispatched production tier";
-  EXPECT_EQ(verify::max_ulp_distance(from_thread.flat(), dispatched.flat()), 0u)
-      << "cross-thread result must be bit-identical to the dispatched tier";
+  EXPECT_EQ(seen, tensor::KernelMode::kPacked)
+      << "a fresh thread must default to the packed production kernel";
+  EXPECT_EQ(verify::max_ulp_distance(from_thread.flat(), packed.flat()), 0u)
+      << "cross-thread result must be bit-identical to the packed kernel";
 }
 
 // ---------------------------------------------------------------------------
-// SIMD tiers (DESIGN.md §12): AVX2/AVX-512 micro-kernels, serial and
-// ThreadPool-parallel, against the scalar reference. Skipped (not failed)
-// when the host or build lacks the ISA — the LD_ENABLE_SIMD=OFF CI job
-// exercises exactly that fallback.
-
-std::vector<tensor::KernelMode> supported_simd_tiers() {
-  std::vector<tensor::KernelMode> tiers;
-  for (const tensor::KernelMode mode :
-       {tensor::KernelMode::kAvx2, tensor::KernelMode::kAvx512})
-    if (tensor::kernel_mode_supported(mode)) tiers.push_back(mode);
-  return tiers;
-}
+// Packed kernel (DESIGN.md §12): the portable micro-tile over packed panels,
+// serial and ThreadPool-parallel, against the scalar reference and against
+// the std::fma chain it promises to compute exactly.
 
 TEST(DifferentialGemm, SimdTiersMatchReferenceWithinBound) {
-  const auto tiers = supported_simd_tiers();
-  if (tiers.empty()) GTEST_SKIP() << "no SIMD kernel tier available on this host";
   Rng rng(42);
-  // Shapes straddle the micro-tile geometry (MR=4/8, 8/16-wide panels) and
-  // the small-size crossover: remainder rows, masked tail columns, and one
-  // sub-crossover case that must delegate to the reference loop.
+  // Shapes straddle the micro-tile geometry (4-row panels, 16-wide column
+  // panels) and the small-size crossover: remainder rows, tail columns, and
+  // one sub-crossover case that must delegate to the reference loop.
   for (const auto [m, k, n] : {std::array<std::size_t, 3>{1, 1, 1},
                                {3, 5, 7},
                                {8, 8, 8},
@@ -309,19 +296,15 @@ TEST(DifferentialGemm, SimdTiersMatchReferenceWithinBound) {
       tensor::ScopedKernelMode mode(tensor::KernelMode::kReference);
       reference = tensor::matmul(a, b);
     }
-    for (const tensor::KernelMode tier : tiers) {
-      tensor::ScopedKernelMode mode(tier);
-      const tensor::Matrix simd = tensor::matmul(a, b);
-      EXPECT_LE(verify::max_ulp_distance(simd.flat(), reference.flat()),
-                verify::kSimdGemmUlpBound)
-          << tensor::kernel_mode_name(tier) << " matmul " << m << "x" << k << "x" << n;
-    }
+    tensor::ScopedKernelMode mode(tensor::KernelMode::kPacked);
+    const tensor::Matrix packed = tensor::matmul(a, b);
+    EXPECT_LE(verify::max_ulp_distance(packed.flat(), reference.flat()),
+              verify::kSimdGemmUlpBound)
+        << "matmul " << m << "x" << k << "x" << n;
   }
 }
 
 TEST(DifferentialGemm, SimdTransposedAndAccumulateVariantsMatchReference) {
-  const auto tiers = supported_simd_tiers();
-  if (tiers.empty()) GTEST_SKIP() << "no SIMD kernel tier available on this host";
   Rng rng(7);
   const std::size_t m = 31, k = 45, n = 23;
   const tensor::Matrix a = random_matrix(k, m, rng);  // used as A^T * B
@@ -339,24 +322,108 @@ TEST(DifferentialGemm, SimdTransposedAndAccumulateVariantsMatchReference) {
     tensor::matmul_a_bt_into(c, d, abt_ref);
     tensor::matmul_into(c, e, acc_ref, /*accumulate=*/true);
   }
-  for (const tensor::KernelMode tier : tiers) {
-    tensor::Matrix atb(m, n), abt(m, n);
-    tensor::Matrix acc = seed;
-    tensor::ScopedKernelMode mode(tier);
-    tensor::matmul_at_b_into(a, b, atb);
-    tensor::matmul_a_bt_into(c, d, abt);
-    tensor::matmul_into(c, e, acc, /*accumulate=*/true);
-    const std::string name = tensor::kernel_mode_name(tier);
-    EXPECT_LE(verify::max_ulp_distance(atb.flat(), atb_ref.flat()),
-              verify::kSimdGemmUlpBound)
-        << name << " matmul_at_b";
-    EXPECT_LE(verify::max_ulp_distance(abt.flat(), abt_ref.flat()),
-              verify::kSimdGemmUlpBound)
-        << name << " matmul_a_bt";
-    EXPECT_LE(verify::max_ulp_distance(acc.flat(), acc_ref.flat()),
-              verify::kSimdGemmUlpBound)
-        << name << " matmul_into(accumulate)";
+  tensor::Matrix atb(m, n), abt(m, n);
+  tensor::Matrix acc = seed;
+  tensor::ScopedKernelMode mode(tensor::KernelMode::kPacked);
+  tensor::matmul_at_b_into(a, b, atb);
+  tensor::matmul_a_bt_into(c, d, abt);
+  tensor::matmul_into(c, e, acc, /*accumulate=*/true);
+  EXPECT_LE(verify::max_ulp_distance(atb.flat(), atb_ref.flat()), verify::kSimdGemmUlpBound)
+      << "matmul_at_b";
+  EXPECT_LE(verify::max_ulp_distance(abt.flat(), abt_ref.flat()), verify::kSimdGemmUlpBound)
+      << "matmul_a_bt";
+  EXPECT_LE(verify::max_ulp_distance(acc.flat(), acc_ref.flat()), verify::kSimdGemmUlpBound)
+      << "matmul_into(accumulate)";
+}
+
+// The packed kernel's arithmetic contract, written out: for every C element,
+// acc = std::fma(a, b, acc) over ascending p from acc = 0, then c += acc.
+// `a_at(i, p)` and `b_at(p, j)` read the logical operands from their stores.
+template <typename AAt, typename BAt>
+tensor::Matrix fma_chain(tensor::Matrix c, std::size_t k, AAt a_at, BAt b_at) {
+  for (std::size_t i = 0; i < c.rows(); ++i)
+    for (std::size_t j = 0; j < c.cols(); ++j) {
+      double acc = 0.0;
+      for (std::size_t p = 0; p < k; ++p) acc = std::fma(a_at(i, p), b_at(p, j), acc);
+      c(i, j) += acc;
+    }
+  return c;
+}
+
+// Runs all four packed entry points (fresh, accumulate, A^T·B, A·B^T) on one
+// m x k x n shape and expects each to be bit-identical to `expected`'s
+// counterpart: the std::fma chain at and above the crossover, the reference
+// kernel below it (where the packed mode runs the reference loop).
+void expect_packed_bit_identical(std::size_t m, std::size_t k, std::size_t n, Rng& rng) {
+  const tensor::Matrix a = random_matrix(m, k, rng);
+  const tensor::Matrix at = a.transposed();
+  const tensor::Matrix b = random_matrix(k, n, rng);
+  const tensor::Matrix bt = b.transposed();
+  const tensor::Matrix seed = random_matrix(m, n, rng);
+
+  const auto run = [&] {
+    std::array<tensor::Matrix, 4> out = {tensor::Matrix(m, n), seed, tensor::Matrix(m, n),
+                                         tensor::Matrix(m, n)};
+    tensor::matmul_into(a, b, out[0]);
+    tensor::matmul_into(a, b, out[1], /*accumulate=*/true);
+    tensor::matmul_at_b_into(at, b, out[2]);
+    tensor::matmul_a_bt_into(a, bt, out[3]);
+    return out;
+  };
+  std::array<tensor::Matrix, 4> expected;
+  if (m * k * n >= 512) {
+    const auto a_rows = [&](std::size_t i, std::size_t p) { return a(i, p); };
+    const auto b_rows = [&](std::size_t p, std::size_t j) { return b(p, j); };
+    expected = {fma_chain(tensor::Matrix(m, n), k, a_rows, b_rows),
+                fma_chain(seed, k, a_rows, b_rows),
+                fma_chain(tensor::Matrix(m, n), k,
+                          [&](std::size_t i, std::size_t p) { return at(p, i); }, b_rows),
+                fma_chain(tensor::Matrix(m, n), k, a_rows,
+                          [&](std::size_t p, std::size_t j) { return bt(j, p); })};
+  } else {
+    const tensor::ScopedKernelMode mode(tensor::KernelMode::kReference);
+    expected = run();
   }
+  const tensor::ScopedKernelMode mode(tensor::KernelMode::kPacked);
+  const std::array<tensor::Matrix, 4> packed = run();
+  const char* const forms[] = {"matmul_into", "matmul_into(accumulate)", "matmul_at_b_into",
+                               "matmul_a_bt_into"};
+  for (std::size_t f = 0; f < packed.size(); ++f)
+    EXPECT_EQ(verify::max_ulp_distance(packed[f].flat(), expected[f].flat()), 0u)
+        << forms[f] << " " << m << "x" << k << "x" << n << " on "
+        << ThreadPool::global().size() << " workers";
+}
+
+TEST(DifferentialGemm, PackedIsBitIdenticalToFmaChain) {
+  // 0 ULP, not a bound: the micro-tile's std::fma rounds once on every ISA,
+  // so its result is fixed by the contract alone. Shapes straddle the 4-row
+  // and 16-column tile edges and the 512 multiply-add crossover (504 and
+  // 1x1x511 below it; 512, 513 and up at or above).
+  Rng rng(23);
+  for (const auto [m, k, n] : {std::array<std::size_t, 3>{1, 1, 1},
+                               {7, 9, 8},
+                               {1, 511, 1},
+                               {8, 8, 8},
+                               {4, 8, 16},
+                               {1, 513, 1},
+                               {3, 5, 40},
+                               {5, 17, 33},
+                               {9, 64, 1},
+                               {17, 33, 9},
+                               {16, 16, 15},
+                               {65, 31, 97},
+                               {64, 64, 64}})
+    expect_packed_bit_identical(m, k, n, rng);
+
+  // One shape above kParallelMinFlops (2^22): 180*160*170 ≈ 4.9M multiply-
+  // adds, so row panels spread over the pool at every size but 1.
+  const std::size_t original_size = ThreadPool::global().size();
+  for (const std::size_t workers : {1u, 3u, 4u}) {
+    ThreadPool::set_global_size(workers);
+    Rng big(29);
+    expect_packed_bit_identical(180, 160, 170, big);
+  }
+  ThreadPool::set_global_size(original_size);
 }
 
 TEST(ParallelGemm, BitIdenticalAcrossPoolSizes) {
@@ -365,8 +432,6 @@ TEST(ParallelGemm, BitIdenticalAcrossPoolSizes) {
   // GEMM is bit-identical to the serial one — for any pool size. This is the
   // determinism contract DESIGN.md §12 documents; the TSan job runs this
   // same test for data races.
-  const auto tiers = supported_simd_tiers();
-  if (tiers.empty()) GTEST_SKIP() << "no SIMD kernel tier available on this host";
   Rng rng(17);
   // Big enough to clear kParallelMinFlops (2^22): 180*160*170 ≈ 4.9M flops.
   const tensor::Matrix a = random_matrix(180, 160, rng);
@@ -379,20 +444,17 @@ TEST(ParallelGemm, BitIdenticalAcrossPoolSizes) {
   }
 
   const std::size_t original_size = ThreadPool::global().size();
-  for (const tensor::KernelMode tier : tiers) {
-    tensor::ScopedKernelMode mode(tier);
-    ThreadPool::set_global_size(1);
-    const tensor::Matrix serial = tensor::matmul(a, b);
-    for (const std::size_t workers : {4u, 3u}) {
-      ThreadPool::set_global_size(workers);
-      const tensor::Matrix parallel = tensor::matmul(a, b);
-      EXPECT_EQ(verify::max_ulp_distance(parallel.flat(), serial.flat()), 0u)
-          << tensor::kernel_mode_name(tier) << " with " << workers << " workers";
-    }
-    EXPECT_LE(verify::max_ulp_distance(serial.flat(), reference.flat()),
-              verify::kSimdGemmUlpBound)
-        << tensor::kernel_mode_name(tier);
+  tensor::ScopedKernelMode mode(tensor::KernelMode::kPacked);
+  ThreadPool::set_global_size(1);
+  const tensor::Matrix serial = tensor::matmul(a, b);
+  for (const std::size_t workers : {4u, 3u}) {
+    ThreadPool::set_global_size(workers);
+    const tensor::Matrix parallel = tensor::matmul(a, b);
+    EXPECT_EQ(verify::max_ulp_distance(parallel.flat(), serial.flat()), 0u)
+        << "packed with " << workers << " workers";
   }
+  EXPECT_LE(verify::max_ulp_distance(serial.flat(), reference.flat()),
+            verify::kSimdGemmUlpBound);
   ThreadPool::set_global_size(original_size);
 }
 
@@ -487,12 +549,10 @@ TEST(ServingDiff, LivePredictPassesDifferentialCheck) {
 }
 
 TEST(ServingDiff, FusedLivePredictPassesDifferentialCheck) {
-  // Same differential check with a SIMD tier live: the service predict takes
-  // the fused single-timestep path while the shadow recompute runs the
+  // Same differential check with the packed kernel live: the service predict
+  // takes the fused single-timestep path while the shadow recompute runs the
   // layered reference — so LD_VERIFY_DIFF exercises exactly the fused-vs-
   // layered comparison, against the wider kFusedPredictUlpBound.
-  const auto tiers = supported_simd_tiers();
-  if (tiers.empty()) GTEST_SKIP() << "no SIMD kernel tier available on this host";
   const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
   const auto model = quick_model(series);
 
@@ -502,21 +562,17 @@ TEST(ServingDiff, FusedLivePredictPassesDifferentialCheck) {
   service.publish("fuseddiff", *model);
   service.observe_many("fuseddiff", series);
 
-  for (const tensor::KernelMode tier : tiers) {
-    const tensor::ScopedKernelMode mode(tier);
-    const testutil::CounterDelta mismatches("ld_verify_diff_mismatch_total",
-                                            {{"workload", "fuseddiff"}});
-    serving::set_verify_diff(true);
-    const auto result = service.predict_detailed("fuseddiff", 6);
-    serving::set_verify_diff(false);
+  const tensor::ScopedKernelMode mode(tensor::KernelMode::kPacked);
+  const testutil::CounterDelta mismatches("ld_verify_diff_mismatch_total",
+                                          {{"workload", "fuseddiff"}});
+  serving::set_verify_diff(true);
+  const auto result = service.predict_detailed("fuseddiff", 6);
+  serving::set_verify_diff(false);
 
-    EXPECT_EQ(result.level, fault::DegradationLevel::kLive);
-    ASSERT_EQ(result.forecast.size(), 6u);
-    EXPECT_EQ(mismatches.delta(), 0u)
-        << tensor::kernel_mode_name(tier)
-        << " fused predict diverged from the layered reference beyond "
-           "kFusedPredictUlpBound";
-  }
+  EXPECT_EQ(result.level, fault::DegradationLevel::kLive);
+  ASSERT_EQ(result.forecast.size(), 6u);
+  EXPECT_EQ(mismatches.delta(), 0u)
+      << "fused predict diverged from the layered reference beyond kFusedPredictUlpBound";
 }
 
 // ---------------------------------------------------------------------------
@@ -525,11 +581,10 @@ TEST(ServingDiff, FusedLivePredictPassesDifferentialCheck) {
 // trained predict path.
 
 TEST(DifferentialFused, ForwardOneMatchesLayeredForwardBothCells) {
-  // Unit-level, host-independent: forward_one is scalar code, so it runs
-  // (and must agree) even when no SIMD GEMM tier exists. Untrained-network
-  // outputs can sit near zero where ULP distances blow up, so this test uses
-  // a relative tolerance instead (the regrouped accumulation agrees to
-  // ~1e-13 relative in practice).
+  // Unit-level: forward_one is scalar code, so it runs (and must agree)
+  // under any kernel mode. Untrained-network outputs can sit near zero where
+  // ULP distances blow up, so this test uses a relative tolerance instead
+  // (the regrouped accumulation agrees to ~1e-13 relative in practice).
   nn::set_quantized_inference(false);
   for (const nn::CellType cell : {nn::CellType::kLstm, nn::CellType::kGru}) {
     nn::LstmNetworkConfig cfg;
@@ -557,8 +612,6 @@ TEST(DifferentialFused, ForwardOneMatchesLayeredForwardBothCells) {
 }
 
 TEST(DifferentialFused, TrainedPredictWithinFusedBound) {
-  const auto tiers = supported_simd_tiers();
-  if (tiers.empty()) GTEST_SKIP() << "no SIMD kernel tier available on this host";
   nn::set_quantized_inference(false);
   const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
   const auto model = quick_model(series);
@@ -570,17 +623,13 @@ TEST(DifferentialFused, TrainedPredictWithinFusedBound) {
     reference = model->predict_next(series);
     horizon_ref = model->predict_horizon(series, 12);
   }
-  for (const tensor::KernelMode tier : tiers) {
-    const tensor::ScopedKernelMode mode(tier);
-    const double fused = model->predict_next(series);
-    const std::vector<double> horizon = model->predict_horizon(series, 12);
-    const std::string name = tensor::kernel_mode_name(tier);
-    EXPECT_LE(verify::ulp_distance(fused, reference), verify::kFusedPredictUlpBound)
-        << name << " predict_next";
-    EXPECT_LE(verify::max_ulp_distance(horizon, horizon_ref),
-              verify::kFusedPredictUlpBound)
-        << name << " predict_horizon";
-  }
+  const tensor::ScopedKernelMode mode(tensor::KernelMode::kPacked);
+  const double fused = model->predict_next(series);
+  const std::vector<double> horizon = model->predict_horizon(series, 12);
+  EXPECT_LE(verify::ulp_distance(fused, reference), verify::kFusedPredictUlpBound)
+      << "predict_next";
+  EXPECT_LE(verify::max_ulp_distance(horizon, horizon_ref), verify::kFusedPredictUlpBound)
+      << "predict_horizon";
 }
 
 // ---------------------------------------------------------------------------
@@ -590,13 +639,11 @@ TEST(DifferentialFused, TrainedPredictWithinFusedBound) {
 // verify::kQuantMapeTolerancePp percentage points.
 
 TEST(QuantizedInference, WalkForwardMapeWithinGuardrail) {
-  const auto tiers = supported_simd_tiers();
-  if (tiers.empty()) GTEST_SKIP() << "quantized path needs the fused (SIMD-tier) predict";
   const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
   const auto model = quick_model(series);
   const std::size_t test_start = 120;
 
-  const tensor::ScopedKernelMode mode(tiers.back());
+  const tensor::ScopedKernelMode mode(tensor::KernelMode::kPacked);  // the fused path
   const auto walk_forward = [&](bool quantized) {
     nn::set_quantized_inference(quantized);
     std::vector<double> preds;

@@ -9,8 +9,10 @@ Usage:
   # check a run against the baseline (exit 1 on any >25% regression)
   tools/bench_check.py --current /tmp/perf.json
 
-The baseline (bench/BENCH_baseline.json) stores per-benchmark cpu_time in
-nanoseconds. Absolute times only transfer between identical machines, so CI
+The baseline (bench/BENCH_baseline.json) stores per-benchmark real_time
+(wall clock) in nanoseconds. Wall time, not the main thread's cpu_time,
+because the GEMM benches above kParallelMinFlops hand row panels to
+ThreadPool workers whose CPU time the main thread never sees. Absolute times only transfer between identical machines, so CI
 passes --normalize BM_Gemm/32: every time is divided by that benchmark's time
 in the *same* run, and the gate compares the resulting machine-free ratios.
 The budget is deliberately loose (25%) — this catches "the blocked GEMM lost
@@ -135,7 +137,7 @@ def check_fleet(args: argparse.Namespace) -> int:
 
 
 def load_run(path: str) -> dict[str, float]:
-    """Map benchmark name -> cpu_time (ns) from google-benchmark JSON output."""
+    """Map benchmark name -> real_time (ns) from google-benchmark JSON output."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     times: dict[str, float] = {}
@@ -145,7 +147,7 @@ def load_run(path: str) -> dict[str, float]:
         # google-benchmark reports in the unit the bench requested; fold to ns.
         unit = bench.get("time_unit", "ns")
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
-        times[bench["name"]] = float(bench["cpu_time"]) * scale
+        times[bench["name"]] = float(bench["real_time"]) * scale
     if not times:
         sys.exit(f"error: no benchmarks found in {path}")
     return times
@@ -185,7 +187,7 @@ def main() -> int:
     current = load_run(args.current)
     if args.regen:
         payload = {
-            "_comment": "cpu_time in ns per benchmark; regen via tools/bench_check.py --regen",
+            "_comment": "real_time in ns per benchmark; regen via tools/bench_check.py --regen",
             "benchmarks": {name: current[name] for name in sorted(current)},
         }
         with open(args.baseline, "w", encoding="utf-8") as fh:
