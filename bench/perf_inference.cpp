@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/model.hpp"
-#include "nn/network.hpp"
 #include "tensor/matrix.hpp"
 #include "workloads/generators.hpp"
 #include "workloads/trace.hpp"
@@ -61,43 +60,22 @@ BENCHMARK(BM_PredictNext)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PredictNextUnfused(benchmark::State& state) {
-  // Same serving shapes pinned to the blocked tier: the layered per-step
-  // GEMM path the fused kernel must beat (and the only path on hosts
-  // without a SIMD tier).
+  // Same serving shapes pinned to the reference kernel: the layered per-step
+  // GEMM path the fused kernel must beat (and the path LD_VERIFY_DIFF
+  // shadows every live predict with).
   const auto f = make_fixture(static_cast<std::size_t>(state.range(0)),
                               static_cast<std::size_t>(state.range(1)),
                               static_cast<std::size_t>(state.range(2)));
-  const tensor::ScopedKernelMode mode(tensor::KernelMode::kBlocked);
+  const tensor::ScopedKernelMode mode(tensor::KernelMode::kReference);
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.model->predict_next(f.history));
   }
   state.SetLabel("n=" + std::to_string(state.range(0)) +
                  " c=" + std::to_string(state.range(1)) +
-                 " L=" + std::to_string(state.range(2)) + " layered/blocked");
+                 " L=" + std::to_string(state.range(2)) + " layered/reference");
 }
 
 BENCHMARK(BM_PredictNextUnfused)
-    ->Args({35, 32, 2})
-    ->Args({102, 98, 4})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PredictNextQuant(benchmark::State& state) {
-  // Fused path with int8 row-quantized weights (LD_QUANT / --quant): the
-  // recurrent stack runs in float over dequantized panels, head stays fp64.
-  const auto f = make_fixture(static_cast<std::size_t>(state.range(0)),
-                              static_cast<std::size_t>(state.range(1)),
-                              static_cast<std::size_t>(state.range(2)));
-  nn::set_quantized_inference(true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.model->predict_next(f.history));
-  }
-  nn::set_quantized_inference(false);
-  state.SetLabel("n=" + std::to_string(state.range(0)) +
-                 " c=" + std::to_string(state.range(1)) +
-                 " L=" + std::to_string(state.range(2)) + " fused int8");
-}
-
-BENCHMARK(BM_PredictNextQuant)
     ->Args({35, 32, 2})
     ->Args({102, 98, 4})
     ->Unit(benchmark::kMillisecond);

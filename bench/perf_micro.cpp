@@ -61,7 +61,7 @@ void BM_LstmStep(benchmark::State& state) {
   // Single-window inference through a stacked network: the serving hot path.
   // Arg0 = hidden size, Arg1 = 1 for the fused single-timestep kernel
   // (forward_one), 0 for the layered per-step GEMM path pinned to the
-  // blocked kernel — the layered behavior the fused path must beat.
+  // reference kernel — the layered behavior the fused path must beat.
   const auto hidden = static_cast<std::size_t>(state.range(0));
   const bool fused = state.range(1) != 0;
   nn::LstmNetwork net({.input_size = 1, .hidden_size = hidden, .num_layers = 2}, 11);
@@ -73,7 +73,7 @@ void BM_LstmStep(benchmark::State& state) {
   for (std::size_t t = 0; t < window.size(); ++t) x(0, t) = window[t];
 
   const tensor::ScopedKernelMode mode(fused ? tensor::KernelMode::kPacked
-                                            : tensor::KernelMode::kBlocked);
+                                            : tensor::KernelMode::kReference);
   for (auto _ : state) {
     if (fused) {
       benchmark::DoNotOptimize(net.forward_one(window));
@@ -82,7 +82,7 @@ void BM_LstmStep(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(window.size()));
-  state.SetLabel(std::string(fused ? "fused" : "layered/blocked") + " T=35 L=2");
+  state.SetLabel(std::string(fused ? "fused" : "layered/reference") + " T=35 L=2");
 }
 BENCHMARK(BM_LstmStep)->Args({32, 0})->Args({32, 1})->Args({98, 0})->Args({98, 1});
 

@@ -23,7 +23,6 @@
 #include "core/loaddynamics.hpp"
 #include "fault/injector.hpp"
 #include "net/server.hpp"
-#include "nn/network.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "serving/protocol.hpp"
@@ -61,7 +60,6 @@ flags:
   --history N          per-workload history cap (default 4096)
   --threads N          resize the shared thread pool
   --no-retrain         disable drift-triggered background retraining
-  --quant              int8 row-quantized fused inference (LD_QUANT=1)
   --interval M         CSV trace interval minutes (default 30)
   --epochs E           quick-train epoch budget (default 20)
   --seed S             quick-train seed (default 2020)
@@ -99,7 +97,7 @@ env: LD_LOG_LEVEL=debug|info|warn|error|off, LD_TRACE=FILE,
      every Nth request's flow), LD_METRICS_MAX_SERIES=N (cardinality
      governor: cap exposed series, roll the long tail into
      workload="__other"), LD_NUM_THREADS=N, LD_FAULTS=SPEC, LD_FAULT_SEED=N,
-     LD_QUANT=1, LD_WAL_FSYNC=always|interval|never (see docs/API.md, ld::fault)
+     LD_WAL_FSYNC=always|interval|never (see docs/API.md, ld::fault)
 )";
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -284,7 +282,6 @@ int run_serve(int argc, const char* const* argv, std::istream& in, std::ostream&
     cfg.max_history = static_cast<std::size_t>(args.get_int("history", 4096));
     cfg.checkpoint_dir = args.get("checkpoint-dir", "");
     cfg.background_retrain = !args.get_bool("no-retrain");
-    if (args.get_bool("quant")) nn::set_quantized_inference(true);
     // Serving-scale warm retrains: a few cheap candidates on recent history.
     cfg.adaptive.base.space = core::HyperparameterSpace::reduced();
     cfg.adaptive.base.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));

@@ -5,8 +5,9 @@
 // it runs. Callers pre-assign every task its inputs (including its own seeded
 // Rng stream) and write results into per-index slots, so outcomes are
 // bit-identical for any pool size — including size <= 1, where everything
-// executes inline on the calling thread (the LD_ENABLE_OPENMP=OFF /
-// single-core configuration).
+// executes inline on the calling thread (the single-core configuration).
+// This is the library's only thread runtime: GEMM row panels, forest fits,
+// batched BO and the search/bench fan-outs all run here.
 //
 // Nesting contract: work scheduled from inside a pool worker executes inline
 // on that worker instead of being enqueued, so nested parallel_for/submit

@@ -132,10 +132,9 @@ double TrainedModel::predict_next(std::span<const double> history) const {
     window[j] = scaler_.transform(v);
   }
   // The serving hot path takes the fused single-timestep kernel
-  // (DESIGN.md §12). kBlocked/kReference stay bit-identical to the layered
-  // path (the golden gates pin that behavior), and the serving differential
-  // check — which shadows under ScopedKernelMode kReference — automatically
-  // compares fused against layered reference.
+  // (DESIGN.md §12). kReference runs the layered path, so the serving
+  // differential check — which shadows under ScopedKernelMode kReference —
+  // automatically compares fused against layered reference.
   double y;
   if (fused_predict_live()) {
     y = network_->forward_one(window);

@@ -59,8 +59,8 @@ class TrainedModel final : public ts::Predictor {
 
   /// Whether predict_next on the calling thread takes the fused
   /// single-timestep path (nn::LstmNetwork::forward_one): exactly when the
-  /// packed production kernel is selected. kBlocked and kReference keep the
-  /// layered path, which the golden gates pin and LD_VERIFY_DIFF shadows.
+  /// packed production kernel is selected. kReference keeps the layered
+  /// path, which LD_VERIFY_DIFF shadows.
   [[nodiscard]] static bool fused_predict_live() noexcept {
     return tensor::kernel_mode() == tensor::KernelMode::kPacked;
   }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/thread_pool.hpp"
+
 namespace ld::ml {
 
 TreeEnsemblePredictor::TreeEnsemblePredictor(EnsembleConfig config) : config_(std::move(config)) {
@@ -41,8 +43,9 @@ void TreeEnsemblePredictor::fit_xy(const tensor::Matrix& x, std::span<const doub
       trees_.resize(config_.n_trees);
       const auto sample_size =
           static_cast<std::size_t>(std::ceil(config_.subsample * static_cast<double>(n)));
-#pragma omp parallel for schedule(dynamic)
-      for (std::size_t t = 0; t < config_.n_trees; ++t) {
+      // Each tree draws from its own seeded Rng and fills its own slot, so
+      // the forest is bit-identical for any pool size.
+      ThreadPool::global().parallel_for(0, config_.n_trees, [&](std::size_t t) {
         Rng tree_rng(config_.seed + 0x9e37 * (t + 1));
         std::vector<std::size_t> rows(sample_size);
         if (config_.kind == EnsembleKind::kRandomForest) {
@@ -56,7 +59,7 @@ void TreeEnsemblePredictor::fit_xy(const tensor::Matrix& x, std::span<const doub
           for (std::size_t i = 0; i < n; ++i) rows[i] = i;
         }
         trees_[t].fit(x, y, rows, tc, tree_rng);
-      }
+      });
       break;
     }
     case EnsembleKind::kGradientBoosting: {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
 
 #include "nn/packed_weights.hpp"
 
@@ -10,7 +9,6 @@ namespace ld::nn {
 
 namespace {
 inline double sigmoid(double x) noexcept { return 1.0 / (1.0 + std::exp(-x)); }
-inline float sigmoid(float x) noexcept { return 1.0f / (1.0f + std::exp(-x)); }
 }  // namespace
 
 GruLayer::GruLayer(std::size_t input_size, std::size_t hidden_size, Rng& rng,
@@ -249,62 +247,44 @@ std::vector<std::span<const double>> GruLayer::parameters() const {
 void GruLayer::pack() {
   pack_transposed(w_, wt_);
   pack_transposed(u_, ut_);
-  quantize_rows_transposed(w_, wtq_);
-  quantize_rows_transposed(u_, utq_);
-  bq_.assign(b_.begin(), b_.end());
 }
 
-template <typename T>
-void GruLayer::step_fused(const T* x, T* h, T* /*c*/, T* scratch) const {
-  constexpr bool kQuant = std::is_same_v<T, float>;
+void GruLayer::step_fused(const double* x, double* h, double* /*c*/, double* scratch) const {
   const std::size_t H = hidden_size_;
   const std::size_t h3 = 3 * H;
-  const auto* wt = [&] {
-    if constexpr (kQuant) return wtq_.data();
-    else return wt_.data();
-  }();
-  const auto* ut = [&] {
-    if constexpr (kQuant) return utq_.data();
-    else return ut_.data();
-  }();
-  T* pre = scratch;       // [z, r, g] pre-activations
-  T* rh = scratch + h3;   // r ⊙ h_{t-1}
-  for (std::size_t j = 0; j < h3; ++j) pre[j] = T(0);
+  const double* wt = wt_.data();
+  const double* ut = ut_.data();
+  double* pre = scratch;       // [z, r, g] pre-activations
+  double* rh = scratch + h3;   // r ⊙ h_{t-1}
+  for (std::size_t j = 0; j < h3; ++j) pre[j] = 0.0;
   for (std::size_t i = 0; i < input_size_; ++i) {
-    const T xv = x[i];
-    const auto* row = wt + i * h3;
-    for (std::size_t j = 0; j < h3; ++j) pre[j] += xv * static_cast<T>(row[j]);
+    const double xv = x[i];
+    const double* row = wt + i * h3;
+    for (std::size_t j = 0; j < h3; ++j) pre[j] += xv * row[j];
   }
   // z and r take U h_{t-1}; the g block takes U (r ⊙ h), added once r is
   // known — same two-phase structure as the batched forward.
   for (std::size_t k = 0; k < H; ++k) {
-    const T hv = h[k];
-    const auto* row = ut + k * h3;
-    for (std::size_t j = 0; j < 2 * H; ++j) pre[j] += hv * static_cast<T>(row[j]);
+    const double hv = h[k];
+    const double* row = ut + k * h3;
+    for (std::size_t j = 0; j < 2 * H; ++j) pre[j] += hv * row[j];
   }
   for (std::size_t j = 0; j < H; ++j) {
-    const T bz = kQuant ? static_cast<T>(bq_[j]) : static_cast<T>(b_[j]);
-    const T br = kQuant ? static_cast<T>(bq_[H + j]) : static_cast<T>(b_[H + j]);
-    pre[j] = sigmoid(pre[j] + bz);                     // z (kept for the blend)
-    const T rv = sigmoid(pre[H + j] + br);             // r
+    pre[j] = sigmoid(pre[j] + b_[j]);                  // z (kept for the blend)
+    const double rv = sigmoid(pre[H + j] + b_[H + j]);  // r
     rh[j] = rv * h[j];
   }
   for (std::size_t k = 0; k < H; ++k) {
-    const T rhv = rh[k];
-    const auto* row = ut + k * h3 + 2 * H;
-    for (std::size_t j = 0; j < H; ++j) pre[2 * H + j] += rhv * static_cast<T>(row[j]);
+    const double rhv = rh[k];
+    const double* row = ut + k * h3 + 2 * H;
+    for (std::size_t j = 0; j < H; ++j) pre[2 * H + j] += rhv * row[j];
   }
   for (std::size_t j = 0; j < H; ++j) {
-    const T bg = kQuant ? static_cast<T>(bq_[2 * H + j]) : static_cast<T>(b_[2 * H + j]);
-    const T gv = activate(activation_, pre[2 * H + j] + bg);
-    const T zv = pre[j];
-    h[j] = (T(1) - zv) * h[j] + zv * gv;
+    const double gv = activate(activation_, pre[2 * H + j] + b_[2 * H + j]);
+    const double zv = pre[j];
+    h[j] = (1.0 - zv) * h[j] + zv * gv;
   }
 }
-
-template void GruLayer::step_fused<double>(const double*, double*, double*,
-                                           double*) const;
-template void GruLayer::step_fused<float>(const float*, float*, float*, float*) const;
 
 std::vector<std::span<double>> GruLayer::gradients() {
   return {dw_.flat(), du_.flat(), {db_.data(), db_.size()}};

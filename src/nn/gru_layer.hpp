@@ -44,8 +44,7 @@ class GruLayer {
   /// LstmLayer::step_fused. GRU has no cell state, so `c` is ignored (kept
   /// for a uniform call shape); `scratch` must hold >= 4*hidden_size
   /// elements (3H gate pre-activations + H for r ⊙ h).
-  template <typename T>
-  void step_fused(const T* x, T* h, T* c, T* scratch) const;
+  void step_fused(const double* x, double* h, double* c, double* scratch) const;
 
  private:
   std::size_t input_size_, hidden_size_;
@@ -57,9 +56,7 @@ class GruLayer {
   std::vector<double> db_;
 
   // Packed weights for step_fused (see nn/packed_weights.hpp).
-  std::vector<double> wt_, ut_;    // transposed (I x 3H), (H x 3H)
-  std::vector<float> wtq_, utq_;   // int8 row-quantized, dequantized
-  std::vector<float> bq_;
+  std::vector<double> wt_, ut_;  // transposed (I x 3H), (H x 3H)
 };
 
 }  // namespace ld::nn

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
 
 #include "nn/packed_weights.hpp"
 
@@ -10,7 +9,6 @@ namespace ld::nn {
 
 namespace {
 inline double sigmoid(double x) noexcept { return 1.0 / (1.0 + std::exp(-x)); }
-inline float sigmoid(float x) noexcept { return 1.0f / (1.0f + std::exp(-x)); }
 }  // namespace
 
 LstmLayer::LstmLayer(std::size_t input_size, std::size_t hidden_size, Rng& rng,
@@ -171,54 +169,35 @@ std::vector<std::span<const double>> LstmLayer::parameters() const {
 void LstmLayer::pack() {
   pack_transposed(w_, wt_);
   pack_transposed(u_, ut_);
-  quantize_rows_transposed(w_, wtq_);
-  quantize_rows_transposed(u_, utq_);
-  bq_.assign(b_.begin(), b_.end());
 }
 
-template <typename T>
-void LstmLayer::step_fused(const T* x, T* h, T* c, T* scratch) const {
-  constexpr bool kQuant = std::is_same_v<T, float>;
+void LstmLayer::step_fused(const double* x, double* h, double* c, double* scratch) const {
   const std::size_t H = hidden_size_;
   const std::size_t h4 = 4 * H;
-  const auto* wt = [&] {
-    if constexpr (kQuant) return wtq_.data();
-    else return wt_.data();
-  }();
-  const auto* ut = [&] {
-    if constexpr (kQuant) return utq_.data();
-    else return ut_.data();
-  }();
-  T* pre = scratch;
-  for (std::size_t j = 0; j < h4; ++j) pre[j] = T(0);
+  const double* wt = wt_.data();
+  const double* ut = ut_.data();
+  double* pre = scratch;
+  for (std::size_t j = 0; j < h4; ++j) pre[j] = 0.0;
   for (std::size_t i = 0; i < input_size_; ++i) {
-    const T xv = x[i];
-    const auto* row = wt + i * h4;
-    for (std::size_t j = 0; j < h4; ++j) pre[j] += xv * static_cast<T>(row[j]);
+    const double xv = x[i];
+    const double* row = wt + i * h4;
+    for (std::size_t j = 0; j < h4; ++j) pre[j] += xv * row[j];
   }
   for (std::size_t k = 0; k < H; ++k) {
-    const T hv = h[k];
-    const auto* row = ut + k * h4;
-    for (std::size_t j = 0; j < h4; ++j) pre[j] += hv * static_cast<T>(row[j]);
+    const double hv = h[k];
+    const double* row = ut + k * h4;
+    for (std::size_t j = 0; j < h4; ++j) pre[j] += hv * row[j];
   }
   for (std::size_t j = 0; j < H; ++j) {
-    const T bi = kQuant ? static_cast<T>(bq_[j]) : static_cast<T>(b_[j]);
-    const T bf = kQuant ? static_cast<T>(bq_[H + j]) : static_cast<T>(b_[H + j]);
-    const T bg = kQuant ? static_cast<T>(bq_[2 * H + j]) : static_cast<T>(b_[2 * H + j]);
-    const T bo = kQuant ? static_cast<T>(bq_[3 * H + j]) : static_cast<T>(b_[3 * H + j]);
-    const T iv = sigmoid(pre[j] + bi);
-    const T fv = sigmoid(pre[H + j] + bf);
-    const T gv = activate(activation_, pre[2 * H + j] + bg);
-    const T ov = sigmoid(pre[3 * H + j] + bo);
-    const T cv = fv * c[j] + iv * gv;
+    const double iv = sigmoid(pre[j] + b_[j]);
+    const double fv = sigmoid(pre[H + j] + b_[H + j]);
+    const double gv = activate(activation_, pre[2 * H + j] + b_[2 * H + j]);
+    const double ov = sigmoid(pre[3 * H + j] + b_[3 * H + j]);
+    const double cv = fv * c[j] + iv * gv;
     c[j] = cv;
     h[j] = ov * activate(activation_, cv);
   }
 }
-
-template void LstmLayer::step_fused<double>(const double*, double*, double*,
-                                            double*) const;
-template void LstmLayer::step_fused<float>(const float*, float*, float*, float*) const;
 
 std::vector<std::span<double>> LstmLayer::gradients() {
   return {dw_.flat(), du_.flat(), {db_.data(), db_.size()}};

@@ -58,8 +58,8 @@ class LstmLayer {
   [[nodiscard]] std::vector<std::span<double>> gradients();
   [[nodiscard]] std::size_t parameter_count() const noexcept;
 
-  /// Build the transposed (and int8 row-quantized) weight panels
-  /// step_fused reads. Call once the weights are final.
+  /// Build the transposed weight panels step_fused reads. Call once the
+  /// weights are final.
   void pack();
 
   /// Fused single-sample inference step (DESIGN.md §12): advances the
@@ -67,11 +67,9 @@ class LstmLayer {
   /// activations in one pass over the packed transposed weights, with no
   /// Matrix temporaries. `x` has input_size elements; `h` and `c` hold the
   /// hidden/cell state (hidden_size each) and are updated in place;
-  /// `scratch` must hold >= 4*hidden_size elements. T=double computes on the
-  /// exact weights; T=float on the int8 row-quantized weights (LD_QUANT).
-  /// Reads the panels of the last pack(), not the live weights.
-  template <typename T>
-  void step_fused(const T* x, T* h, T* c, T* scratch) const;
+  /// `scratch` must hold >= 4*hidden_size elements. Reads the panels of the
+  /// last pack(), not the live weights.
+  void step_fused(const double* x, double* h, double* c, double* scratch) const;
 
  private:
   std::size_t input_size_, hidden_size_;
@@ -83,9 +81,7 @@ class LstmLayer {
   std::vector<double> db_;
 
   // Packed weights for step_fused (see nn/packed_weights.hpp).
-  std::vector<double> wt_, ut_;    // transposed (I x 4H), (H x 4H)
-  std::vector<float> wtq_, utq_;   // int8 row-quantized, dequantized
-  std::vector<float> bq_;          // bias in float for the quant path
+  std::vector<double> wt_, ut_;  // transposed (I x 4H), (H x 4H)
 };
 
 }  // namespace ld::nn

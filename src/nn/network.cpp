@@ -1,33 +1,11 @@
 #include "nn/network.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <type_traits>
 
 #include "obs/trace.hpp"
 
 namespace ld::nn {
-
-namespace {
-// -1 = consult LD_QUANT on first use (same tri-state pattern as the serving
-// layer's LD_VERIFY_DIFF toggle).
-std::atomic<int> g_quantized{-1};
-}  // namespace
-
-bool quantized_inference_enabled() {
-  int v = g_quantized.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("LD_QUANT");
-    v = (env != nullptr && env[0] == '1' && env[1] == '\0') ? 1 : 0;
-    g_quantized.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-void set_quantized_inference(bool enabled) {
-  g_quantized.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 std::string cell_type_name(CellType cell) {
   return cell == CellType::kLstm ? "lstm" : "gru";
@@ -70,10 +48,9 @@ LstmNetwork::LstmNetwork(LstmNetworkConfig config, std::uint64_t seed)
       }()) {}
 
 namespace {
-// Per-thread forward_one state and scratch, one set per precision (same
-// idiom as the GEMM pack buffers in tensor/simd_gemm.cpp).
-thread_local std::vector<double> t_hd, t_cd, t_sd;
-thread_local std::vector<float> t_hf, t_cf, t_sf;
+// Per-thread forward_one state and scratch (same idiom as the GEMM pack
+// buffers in tensor/simd_gemm.cpp).
+thread_local std::vector<double> t_h, t_c, t_scratch;
 
 /// (B x T) windows as T (B x 1) timestep matrices.
 std::vector<tensor::Matrix> window_sequence(const tensor::Matrix& x,
@@ -114,41 +91,28 @@ double LstmNetwork::forward_one(std::span<const double> window) const {
     throw std::invalid_argument("LstmNetwork::forward_one: empty window");
   if (!packed_)
     throw std::logic_error("LstmNetwork::forward_one: weights changed since the last pack()");
-  if (quantized_inference_enabled())
-    return forward_one_impl<float>(window, t_hf, t_cf, t_sf);
-  return forward_one_impl<double>(window, t_hd, t_cd, t_sd);
-}
-
-template <typename T>
-double LstmNetwork::forward_one_impl(std::span<const double> window,
-                                     std::vector<T>& hbuf, std::vector<T>& cbuf,
-                                     std::vector<T>& scratch) const {
   const std::size_t H = config_.hidden_size;
   const std::size_t num_layers = layers_.size();
-  hbuf.assign(num_layers * H, T(0));
-  cbuf.assign(num_layers * H, T(0));
-  if (scratch.size() < 4 * H) scratch.resize(4 * H);
+  t_h.assign(num_layers * H, 0.0);
+  t_c.assign(num_layers * H, 0.0);
+  if (t_scratch.size() < 4 * H) t_scratch.resize(4 * H);
   // One timestep through the whole stack before advancing t: layer l at time
   // t consumes layer l-1's h_t, which was just written in place.
   for (const double xt : window) {
-    T x0 = static_cast<T>(xt);
-    const T* xin = &x0;
+    const double* xin = &xt;
     for (std::size_t li = 0; li < num_layers; ++li) {
-      T* h = hbuf.data() + li * H;
-      T* c = cbuf.data() + li * H;
-      std::visit(
-          [&](const auto& layer) { layer.template step_fused<T>(xin, h, c, scratch.data()); },
-          layers_[li]);
+      double* h = t_h.data() + li * H;
+      double* c = t_c.data() + li * H;
+      std::visit([&](const auto& layer) { layer.step_fused(xin, h, c, t_scratch.data()); },
+                 layers_[li]);
       xin = h;
     }
   }
-  // Dense head as a dot product (fp64 even in quantized mode — one O(H)
-  // reduction contributes nothing to latency but keeps the output scale
-  // exact).
+  // Dense head as a dot product.
   const tensor::Matrix& hw = head_.weights();
-  const T* hlast = hbuf.data() + (num_layers - 1) * H;
+  const double* hlast = t_h.data() + (num_layers - 1) * H;
   double y = head_.bias()[0];
-  for (std::size_t i = 0; i < H; ++i) y += static_cast<double>(hlast[i]) * hw(i, 0);
+  for (std::size_t i = 0; i < H; ++i) y += hlast[i] * hw(i, 0);
   return y;
 }
 

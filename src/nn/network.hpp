@@ -57,14 +57,12 @@ class LstmNetwork {
 
   /// Fused single-window inference (DESIGN.md §12): advances every layer one
   /// timestep at a time via step_fused — no Matrix temporaries, no per-step
-  /// GEMM dispatch — then applies the dense head as a dot product. Honors
-  /// quantized_inference_enabled() by running the recurrent stack in float
-  /// over int8 row-quantized weights (the head stays fp64). Scratch is
-  /// thread-local, so concurrent calls are safe. Reads the weight panels of
-  /// the last pack() and throws std::logic_error when the weights changed
-  /// since. TrainedModel::predict_next dispatches here when the packed
-  /// kernel is selected (TrainedModel::fused_predict_live), so kBlocked and
-  /// kReference keep the layered path bit-identical to pre-fused behavior.
+  /// GEMM dispatch — then applies the dense head as a dot product, all in
+  /// fp64. Scratch is thread-local, so concurrent calls are safe. Reads the
+  /// weight panels of the last pack() and throws std::logic_error when the
+  /// weights changed since. TrainedModel::predict_next dispatches here when
+  /// the packed kernel is selected (TrainedModel::fused_predict_live);
+  /// kReference keeps the layered path as the differential oracle.
   /// Requires 1-in/1-out.
   [[nodiscard]] double forward_one(std::span<const double> window) const;
 
@@ -113,9 +111,6 @@ class LstmNetwork {
   tensor::Matrix run_forward(const std::vector<tensor::Matrix>& sequence,
                              ForwardCaches& caches, Rng* dropout_rng,
                              std::vector<tensor::Matrix>* masks) const;
-  template <typename T>
-  double forward_one_impl(std::span<const double> window, std::vector<T>& hbuf,
-                          std::vector<T>& cbuf, std::vector<T>& scratch) const;
 
   LstmNetworkConfig config_;
   std::vector<RecurrentLayer> layers_;
@@ -129,12 +124,5 @@ class LstmNetwork {
   // dropout style), shape (B x H); empty when dropout is inactive.
   std::vector<tensor::Matrix> dropout_masks_;
 };
-
-/// Process-wide toggle for int8 row-quantized fused inference. Resolved from
-/// LD_QUANT=1 on first query; `ld_serve --quant` and tests override it
-/// explicitly. Only affects forward_one — training and batched forward
-/// always run fp64.
-[[nodiscard]] bool quantized_inference_enabled();
-void set_quantized_inference(bool enabled);
 
 }  // namespace ld::nn

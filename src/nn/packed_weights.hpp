@@ -3,17 +3,8 @@
 // (G*H x In); the fused step walks them input-major, so both cell layers
 // lazily repack into transposed (In x G*H) panels — one contiguous row per
 // input element, turning every gate GEMV into an axpy over a contiguous row.
-//
-// The quantized variant first snaps each *gate row* (length In) to int8 with
-// its own scale s_j = max_i |w(j,i)| / 127, then materializes the dequantized
-// values q*s_j in float, transposed the same way. Dequantization is exact
-// (both q and s_j are representable), so the float panel carries exactly the
-// 255-level row-quantized weights — the accuracy guardrail in verify_test
-// measures true int8 quantization error, not an artifact of the layout.
 #pragma once
 
-#include <cmath>
-#include <cstdint>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -26,22 +17,6 @@ inline void pack_transposed(const tensor::Matrix& w, std::vector<double>& out) {
   out.resize(rows * cols);
   for (std::size_t j = 0; j < rows; ++j)
     for (std::size_t i = 0; i < cols; ++i) out[i * rows + j] = w(j, i);
-}
-
-/// Per-row int8 quantization, dequantized into the same transposed layout:
-/// out[i * rows + j] = round(w(j,i) / s_j) * s_j with s_j = max_i|w(j,i)|/127.
-inline void quantize_rows_transposed(const tensor::Matrix& w, std::vector<float>& out) {
-  const std::size_t rows = w.rows(), cols = w.cols();
-  out.resize(rows * cols);
-  for (std::size_t j = 0; j < rows; ++j) {
-    double maxabs = 0.0;
-    for (std::size_t i = 0; i < cols; ++i) maxabs = std::max(maxabs, std::abs(w(j, i)));
-    const double scale = maxabs > 0.0 ? maxabs / 127.0 : 1.0;
-    for (std::size_t i = 0; i < cols; ++i) {
-      const auto q = static_cast<std::int32_t>(std::nearbyint(w(j, i) / scale));
-      out[i * rows + j] = static_cast<float>(static_cast<double>(q) * scale);
-    }
-  }
 }
 
 }  // namespace ld::nn

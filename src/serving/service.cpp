@@ -57,15 +57,14 @@ double steady_seconds() {
       .count();
 }
 
-/// Recompute `blocked` with the reference kernels and report a divergence
+/// Recompute the `live` forecast with the reference kernels and report a divergence
 /// beyond the documented ULP bound. Never throws, never alters the forecast.
 void diff_check_forecast(const std::string& name, const PublishedModel& model,
                          std::span<const double> history, std::size_t horizon,
                          std::span<const double> live) {
   // When the live predict ran the fused single-timestep path, its regrouped
-  // accumulation diverges further from the layered reference than
-  // blocked-vs-reference does — pick the bound that matches what actually
-  // ran.
+  // accumulation diverges further from the layered reference than a layered
+  // GEMM does — pick the bound that matches what actually ran.
   const std::uint64_t bound = core::TrainedModel::fused_predict_live()
                                   ? verify::kFusedPredictUlpBound
                                   : verify::kPredictUlpBound;

@@ -66,18 +66,17 @@ class Matrix {
 ///    accumulates each C element with std::fma (src/tensor/simd_gemm.*),
 ///    ThreadPool-parallel above a size threshold, falling back to the
 ///    reference loop below a crossover size.
-///  - kBlocked: the register-blocked + OpenMP kernels, kept bit-identical to
-///    the build the golden gates were recorded on, so those gates pin it.
-///  - kReference: plain serial triple loop (no packing, no OpenMP, no
+///    The golden gates run it too.
+///  - kReference: plain serial triple loop (no packing, no threads, no
 ///    tiling), the oracle for differential testing (src/verify/).
-/// Every mode sums each C element over k in ascending order in one pass, so
-/// modes agree within a few ULP — bounds are pinned in verify/ulp.hpp and
+/// Both modes sum each C element over k in ascending order in one pass, so
+/// they agree within a few ULP — bounds are pinned in verify/ulp.hpp and
 /// enforced in verify_test — and each mode is bit-identical to itself for
 /// any thread count.
-enum class KernelMode { kPacked, kBlocked, kReference };
+enum class KernelMode { kPacked, kReference };
 
 /// Per-thread kernel selection (dispatch happens on the calling thread,
-/// before any OpenMP/ThreadPool region, so the mode never races with worker
+/// before any ThreadPool region, so the mode never races with worker
 /// threads). New threads start at kPacked.
 [[nodiscard]] KernelMode kernel_mode() noexcept;
 void set_kernel_mode(KernelMode mode) noexcept;

@@ -14,7 +14,6 @@
 #include "obs/registry.hpp"
 #include "serving/protocol.hpp"
 #include "serving/service.hpp"
-#include "tensor/matrix.hpp"
 #include "workloads/generators.hpp"
 #include "workloads/trace.hpp"
 
@@ -73,13 +72,10 @@ constexpr double kMapeAbsTol = 0.25;  // percentage points
 constexpr double kMapeRelTol = 0.05;  // 5% of the golden value
 
 /// Train a deterministic micro-model for the checkpoint/metrics gates
-/// (milliseconds, not minutes — its exact weights are part of the golden
-/// contract via the checkpoint CRC).
+/// (milliseconds, not minutes — its exact weights, trained on the
+/// production kernel, are part of the golden contract via the checkpoint
+/// CRC).
 std::shared_ptr<core::TrainedModel> train_tiny_model() {
-  // Pin the blocked kernel: the exact weights (and their checkpoint
-  // CRC) were goldened under the blocked kernels, and training is chaotic
-  // enough that any few-ULP GEMM difference diverges the CRC.
-  const tensor::ScopedKernelMode pinned(tensor::KernelMode::kBlocked);
   std::vector<double> series;
   series.reserve(96);
   for (int i = 0; i < 96; ++i)
@@ -221,11 +217,6 @@ const std::vector<GateCache::Fit>& GateCache::fits() {
   // Same fan-out as the fig9 bench: workloads are independent and each
   // derives every seed from kGateSeed, so results are thread-count-invariant.
   ThreadPool::global().parallel_for(0, count, [this](std::size_t i) {
-    // Pinned per worker thread (kernel mode is thread-local): the fig9/table4
-    // goldens were recorded under the blocked tier, and full BO-driven
-    // training amplifies any kernel rounding difference into different
-    // selected hyperparameters.
-    const tensor::ScopedKernelMode pinned(tensor::KernelMode::kBlocked);
     const GateConfig& gc = kGateWorkloads[i];
     const workloads::Trace trace = workloads::generate(
         gc.kind, gc.interval_minutes, {.days = gc.days, .seed = kGateSeed, .scale = 1.0});

@@ -1,7 +1,7 @@
 // ULP-distance helpers for differential kernel testing (DESIGN.md §11).
 //
 // Floating-point results from two mathematically equivalent code paths
-// (scalar reference vs. blocked/packed, serial vs. pool-parallel) differ, if
+// (scalar reference vs. packed, serial vs. pool-parallel) differ, if
 // at all, only through rounding — and because every kernel in this project
 // sums in the same ascending-k order, the divergence is bounded by how the
 // compiler contracts FMAs and vectorizes each loop. Units-in-the-last-place
@@ -49,14 +49,6 @@ inline constexpr std::uint64_t kSimdGemmUlpBound = 64;
 /// bound than kPredictUlpBound. Only meaningful on well-scaled (trained,
 /// positive) predictions, like the other bounds.
 inline constexpr std::uint64_t kFusedPredictUlpBound = 65536;
-
-/// Accuracy guardrail for int8 row-quantized inference (LD_QUANT): the
-/// fig9-style test MAPE under quantization may exceed the fp64 MAPE by at
-/// most this many percentage points on the golden workloads. Quantization is
-/// a deliberate approximation, so it is bounded in model-quality units, not
-/// ULPs. Pinned from measurement: observed deltas are < 0.2 pp (see
-/// verify_test QuantizedInference).
-inline constexpr double kQuantMapeTolerancePp = 1.0;
 
 /// Distance in representable doubles between a and b. 0 means bit-identical
 /// (or +0.0 vs -0.0). NaN against a number, or mismatched infinities, is

@@ -1,16 +1,20 @@
 // The parallel execution layer: ThreadPool semantics (futures, exceptions,
-// inline degradation, nesting) and the framework-level determinism claim —
-// a batched LoadDynamics fit produces a bit-identical model database at any
-// thread count.
+// inline degradation, nesting) and the determinism claims — a batched
+// LoadDynamics fit produces a bit-identical model database, and a forest or
+// extra-trees fit bit-identical trees, at any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/loaddynamics.hpp"
+#include "mlmodels/ensembles.hpp"
 #include "workloads/generators.hpp"
 #include "workloads/trace.hpp"
 
@@ -186,6 +190,47 @@ TEST(ParallelDeterminism, RandomAndGridSearchesThreadCountIndependent) {
     }
     EXPECT_EQ(serial.best_index, parallel.best_index);
   }
+}
+
+// Forest and extra-trees fits spread their trees over the global pool; each
+// tree has its own seeded Rng and its own slot, so the fitted ensemble — and
+// therefore every prediction — must not depend on the pool size.
+void expect_ensemble_thread_count_independent(ml::EnsembleKind kind) {
+  Rng rng(13);
+  std::vector<double> series(400);
+  series[0] = 100.0;
+  for (std::size_t i = 1; i < series.size(); ++i)
+    series[i] = 0.9 * series[i - 1] + 10.0 + rng.normal(0.0, 5.0);
+
+  const auto run = [&](std::size_t threads) {
+    ThreadPool::set_global_size(threads);
+    ml::EnsembleConfig cfg =
+        kind == ml::EnsembleKind::kRandomForest ? ml::random_forest_config(6, 24)
+                                                : ml::extra_trees_config(6, 24);
+    ml::TreeEnsemblePredictor model(cfg);
+    model.fit(std::span<const double>(series).subspan(0, 300));
+    std::vector<double> preds;
+    for (std::size_t t = 100; t < series.size(); ++t)
+      preds.push_back(model.predict_next(std::span<const double>(series).subspan(0, t)));
+    return std::make_pair(model.tree_count(), preds);
+  };
+
+  const auto serial = run(1);
+  for (const std::size_t threads : {3u, 4u}) {
+    const auto parallel = run(threads);
+    EXPECT_EQ(parallel.first, serial.first) << threads << " workers";
+    EXPECT_EQ(parallel.second, serial.second)
+        << "predictions differ from the serial fit on " << threads << " workers";
+  }
+  ThreadPool::set_global_size(ThreadPool::default_threads());
+}
+
+TEST(ParallelDeterminism, RandomForestFitThreadCountIndependent) {
+  expect_ensemble_thread_count_independent(ml::EnsembleKind::kRandomForest);
+}
+
+TEST(ParallelDeterminism, ExtraTreesFitThreadCountIndependent) {
+  expect_ensemble_thread_count_independent(ml::EnsembleKind::kExtraTrees);
 }
 
 }  // namespace

@@ -115,7 +115,7 @@ TEST(ServingRegistry, PublishedForecastsBitIdenticalToSourceModel) {
 // Const inference: one PublishedModel, and clones of one TrainedModel (which
 // share its network), serve any number of threads at once with per-thread
 // scratch. Runs under the packed kernel (the fused single-timestep path) and
-// under a per-thread kBlocked guard (the layered path with thread-local
+// under a per-thread kReference guard (the layered path with thread-local
 // caches); every result must be bit-equal to a serial run.
 TEST(ServingConcurrency, ConstInferenceBitIdenticalToSerialOnEveryPath) {
   const auto series = seasonal(240);
@@ -126,7 +126,7 @@ TEST(ServingConcurrency, ConstInferenceBitIdenticalToSerialOnEveryPath) {
   const std::vector<std::size_t> lengths = {13, 40, 100, 240};
 
   for (const tensor::KernelMode mode :
-       {tensor::KernelMode::kPacked, tensor::KernelMode::kBlocked}) {
+       {tensor::KernelMode::kPacked, tensor::KernelMode::kReference}) {
     std::vector<std::vector<double>> horizons;
     std::vector<double> next;
     std::vector<double> walk;
@@ -159,7 +159,7 @@ TEST(ServingConcurrency, ConstInferenceBitIdenticalToSerialOnEveryPath) {
     }
     for (auto& thread : threads) thread.join();
     EXPECT_EQ(mismatches.load(), 0u)
-        << (mode == tensor::KernelMode::kPacked ? "packed" : "blocked");
+        << (mode == tensor::KernelMode::kPacked ? "packed" : "reference");
   }
 }
 

@@ -15,8 +15,8 @@ because the GEMM benches above kParallelMinFlops hand row panels to
 ThreadPool workers whose CPU time the main thread never sees. Absolute times only transfer between identical machines, so CI
 passes --normalize BM_Gemm/32: every time is divided by that benchmark's time
 in the *same* run, and the gate compares the resulting machine-free ratios.
-The budget is deliberately loose (25%) — this catches "the blocked GEMM lost
-its blocking" or "the disabled fault point grew a lock", not 2% noise.
+The budget is deliberately loose (25%) — this catches "the packed GEMM lost
+its packing" or "the disabled fault point grew a lock", not 2% noise.
 
 Fleet mode (--fleet) gates the serve_replay --connect curve instead:
   ./build/bench/serve_replay --connect --bench-out /tmp/fleet.json
