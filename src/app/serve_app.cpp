@@ -43,7 +43,7 @@ positional: each NAME=PATH registers a workload; .ldm loads a tuned model,
 
 flags:
   --replay FILE        read protocol commands from FILE instead of stdin
-  --listen PORT        serve over TCP instead of stdin: poll/epoll event
+  --listen PORT        serve over TCP instead of stdin: epoll event
                        loop, line protocol + binary frames + HTTP ops plane
                        (GET /metrics, /healthz, /statusz) on one socket
                        (PORT 0 picks an ephemeral port; the bound port is

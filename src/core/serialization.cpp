@@ -10,10 +10,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "common/checksum.hpp"
 #include "common/log.hpp"
@@ -165,7 +163,6 @@ std::shared_ptr<TrainedModel> parse_body(std::istream& in) {
   }
 }
 
-#ifndef _WIN32
 /// Write `data` to `path` with an fsync before close so the bytes are
 /// durable before the caller renames the file into place.
 void write_durable(const std::string& path, const std::string& data) {
@@ -198,16 +195,6 @@ void fsync_parent_dir(const std::string& path) {
     ::close(fd);
   }
 }
-#else
-void write_durable(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("save_model: cannot open '" + path + "'");
-  out << data;
-  out.flush();
-  if (!out) throw std::runtime_error("save_model: write failed for '" + path + "'");
-}
-void fsync_parent_dir(const std::string&) {}
-#endif
 
 obs::Counter& quarantined_counter() {
   static obs::Counter& counter =
@@ -296,14 +283,15 @@ std::shared_ptr<TrainedModel> load_model_file(const std::string& path) {
   return load_model(in);
 }
 
-std::shared_ptr<TrainedModel> load_checkpoint(const std::string& path,
-                                              std::string* loaded_from) {
+void load_file_durable(const std::string& path, const DurableKind& kind,
+                       std::string* loaded_from,
+                       const std::function<void(const std::string&)>& load) {
   std::string primary_error;
   try {
-    LD_FAULT_POINT("checkpoint.load");
-    auto model = load_model_file(path);
+    if (kind.fault_site != nullptr) LD_FAULT_POINT(kind.fault_site);
+    load(path);
     if (loaded_from != nullptr) *loaded_from = path;
-    return model;
+    return;
   } catch (const std::exception& e) {
     primary_error = e.what();
   }
@@ -314,21 +302,30 @@ std::shared_ptr<TrainedModel> load_checkpoint(const std::string& path,
   if (std::filesystem::exists(path, ec)) {
     std::filesystem::rename(path, path + ".quarantine", ec);
     if (!ec) {
-      quarantined_counter().inc();
-      log::warn("load_checkpoint: quarantined corrupt '", path, "' (", primary_error, ")");
+      kind.quarantined().inc();
+      log::warn(kind.log_prefix, "quarantined corrupt ", kind.noun, "'", path, "' (",
+                primary_error, ")");
     }
   }
 
   const std::string prev = path + ".prev";
   try {
-    auto model = load_model_file(prev);
-    log::warn("load_checkpoint: recovered from previous snapshot '", prev, "'");
+    load(prev);
+    log::warn(kind.log_prefix, "recovered ", kind.noun, "from previous snapshot '", prev, "'");
     if (loaded_from != nullptr) *loaded_from = prev;
-    return model;
   } catch (const std::exception& e) {
-    throw std::runtime_error("load_checkpoint: '" + path + "' failed (" + primary_error +
-                             ") and fallback '" + prev + "' failed (" + e.what() + ")");
+    throw std::runtime_error(std::string(kind.log_prefix) + kind.noun + "'" + path +
+                             "' failed (" + primary_error + ") and fallback '" + prev +
+                             "' failed (" + e.what() + ")");
   }
+}
+
+std::shared_ptr<TrainedModel> load_checkpoint(const std::string& path,
+                                              std::string* loaded_from) {
+  std::shared_ptr<TrainedModel> model;
+  load_file_durable(path, {"load_checkpoint: ", "", "checkpoint.load", quarantined_counter},
+                    loaded_from, [&](const std::string& file) { model = load_model_file(file); });
+  return model;
 }
 
 }  // namespace ld::core

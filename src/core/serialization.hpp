@@ -11,11 +11,16 @@
 // (pre-footer) still load.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
 
 #include "core/model.hpp"
+
+namespace ld::obs {
+class Counter;
+}  // namespace ld::obs
 
 namespace ld::core {
 
@@ -51,5 +56,22 @@ void save_file_durable(const std::string& path, const std::string& data,
 /// actually read.
 [[nodiscard]] std::shared_ptr<TrainedModel> load_checkpoint(
     const std::string& path, std::string* loaded_from = nullptr);
+
+/// How load_file_durable names and counts one kind of durable file.
+struct DurableKind {
+  const char* log_prefix;          ///< starts every log line and the error
+  const char* noun;                ///< precedes the quoted path ("manifest ")
+  const char* fault_site;          ///< LD_FAULT_POINT before the primary load, or nullptr
+  obs::Counter& (*quarantined)();  ///< bumped per file moved aside
+};
+
+/// The load side of save_file_durable, shared by checkpoints and the WAL
+/// snapshot manifest: `load(path)`; when that throws, move `path` aside to
+/// `<path>.quarantine` and `load(<path>.prev)`. Throws std::runtime_error
+/// naming both failures when neither file loads. On success `*loaded_from`
+/// (when non-null) receives the path actually read.
+void load_file_durable(const std::string& path, const DurableKind& kind,
+                       std::string* loaded_from,
+                       const std::function<void(const std::string&)>& load);
 
 }  // namespace ld::core

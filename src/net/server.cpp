@@ -4,14 +4,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#else
-#include <poll.h>
-#endif
 
 #include <algorithm>
 #include <cctype>
@@ -92,9 +87,7 @@ struct Server::Impl {
   int listen_fd = -1;
   int wake_rd = -1;  ///< self-pipe read end: stop() wakes the wait
   int wake_wr = -1;
-#if defined(__linux__)
   int epoll_fd = -1;
-#endif
 
   struct Connection {
     std::string inbuf;
@@ -173,9 +166,7 @@ struct Server::Impl {
     if (listen_fd >= 0) ::close(listen_fd);
     if (wake_rd >= 0) ::close(wake_rd);
     if (wake_wr >= 0) ::close(wake_wr);
-#if defined(__linux__)
     if (epoll_fd >= 0) ::close(epoll_fd);
-#endif
   }
 
   std::uint16_t bind_and_listen() {
@@ -202,7 +193,6 @@ struct Server::Impl {
     set_nonblocking(wake_rd);
     set_nonblocking(wake_wr);
 
-#if defined(__linux__)
     epoll_fd = ::epoll_create1(0);
     if (epoll_fd < 0) throw std::runtime_error("net: epoll_create1() failed");
     epoll_event ev{};
@@ -211,7 +201,6 @@ struct Server::Impl {
     ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd, &ev);
     ev.data.fd = wake_rd;
     ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_rd, &ev);
-#endif
 
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
@@ -233,7 +222,6 @@ struct Server::Impl {
 
   std::vector<Ready> wait_ready(int timeout_ms) {
     std::vector<Ready> out;
-#if defined(__linux__)
     epoll_event events[128];
     const int n = ::epoll_wait(epoll_fd, events, 128, timeout_ms);
     for (int i = 0; i < n; ++i) {
@@ -243,42 +231,23 @@ struct Server::Impl {
                      (ev.events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0,
                      (ev.events & EPOLLOUT) != 0});
     }
-#else
-    std::vector<pollfd> fds;
-    if (listen_fd >= 0) fds.push_back({listen_fd, POLLIN, 0});
-    fds.push_back({wake_rd, POLLIN, 0});
-    for (const auto& [fd, conn] : conns)
-      fds.push_back({fd, static_cast<short>(POLLIN | (conn.outbuf.empty() ? 0 : POLLOUT)),
-                     0});
-    const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (n > 0)
-      for (const pollfd& p : fds)
-        if (p.revents != 0)
-          out.push_back({p.fd, (p.revents & (POLLIN | POLLERR | POLLHUP)) != 0,
-                         (p.revents & POLLOUT) != 0});
-#endif
     return out;
   }
 
   void register_conn(int fd) {
     Connection conn;
     conn.last_active = Clock::now();
-    conn.events = 0;
-#if defined(__linux__)
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev);
     conn.events = EPOLLIN;
-#endif
     conns.emplace(fd, std::move(conn));
     connections_open->set(static_cast<double>(conns.size()));
   }
 
   void close_conn(int fd) {
-#if defined(__linux__)
     ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-#endif
     // Drain anything still unread (e.g. trailing HTTP headers that landed in
     // a second segment): closing with bytes in the receive queue makes the
     // kernel send RST, which can discard a flushed-but-unacked response.
@@ -290,7 +259,6 @@ struct Server::Impl {
   }
 
   void update_interest(int fd, Connection& conn) {
-#if defined(__linux__)
     const std::uint32_t want =
         EPOLLIN | (conn.outbuf.empty() ? 0u : static_cast<std::uint32_t>(EPOLLOUT));
     if (want == conn.events) return;
@@ -299,10 +267,6 @@ struct Server::Impl {
     ev.data.fd = fd;
     ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &ev);
     conn.events = want;
-#else
-    (void)fd;
-    (void)conn;  // poll() rebuilds interest from outbuf each cycle
-#endif
   }
 
   void accept_new() {
@@ -726,7 +690,7 @@ struct Server::Impl {
         // response owed to it — close it rather than waiting for the client
         // to hang up. The short grace keeps a just-accepted probe alive long
         // enough for its bytes to arrive (accept and first read land in
-        // different poll cycles), so /healthz can still observe the 503.
+        // different event-loop cycles), so /healthz can still observe the 503.
         if (draining && conn.inbuf.empty() && conn.outbuf.empty() &&
             now - conn.last_active > std::chrono::milliseconds(250)) {
           doomed.push_back(fd);

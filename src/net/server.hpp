@@ -1,12 +1,11 @@
-// TCP front-end for the prediction service: a single-threaded poll/epoll
+// TCP front-end for the prediction service: a single-threaded epoll
 // event loop speaking the existing line protocol unchanged, plus the binary
 // framing of net/frame.hpp, multiplexed on the same connection (the first
 // byte of each inbound unit discriminates: 0xB7 = frame, anything else =
 // text line).
 //
 // Event-loop shape (DESIGN.md §13):
-//  1. wait for readiness (epoll on Linux, poll elsewhere; a self-pipe wakes
-//     the loop for stop()),
+//  1. wait for readiness (epoll; a self-pipe wakes the loop for stop()),
 //  2. drain readable sockets into per-connection input buffers,
 //  3. extract complete units (lines / frames) into one pending-request
 //     queue — admission control runs HERE, before any work is queued:

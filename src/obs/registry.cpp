@@ -69,7 +69,7 @@ std::string render_labels(const Labels& labels, const std::string& extra = {}) {
 }
 
 constexpr const char* kWorkloadKey = "workload";
-/// Admission headroom: a serving workload registers ~11 series, so a new
+/// Admission headroom: a serving workload registers ~10 series, so a new
 /// workload is only admitted while at least this many slots remain free.
 constexpr std::size_t kAdmitHeadroom = 12;
 

@@ -14,7 +14,7 @@
 //    reference — instruments live as long as the registry.
 //
 // Naming convention: ld_<subsystem>_<what>_<unit>, e.g.
-// ld_serving_predict_latency_seconds{workload="wiki"}.
+// ld_serving_predict_latency_seconds{shard="0"}.
 #pragma once
 
 #include <atomic>

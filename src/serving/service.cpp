@@ -106,8 +106,6 @@ PredictionService::Tenant::Tenant(const core::DriftConfig& drift, const std::str
     : shard(shard_index), monitor(drift) {
   auto& reg = obs::MetricsRegistry::global();
   const obs::Labels labels{{"workload", name}};
-  obs.predict_latency =
-      &reg.histogram("ld_serving_predict_latency_seconds", labels, 1e-7, 1e2);
   obs.retrain_seconds = &reg.histogram("ld_serving_retrain_seconds", labels, 1e-4, 1e4);
   obs.predictions = &reg.counter("ld_serving_predictions_total", labels);
   obs.observations = &reg.counter("ld_serving_observations_total", labels);
@@ -137,7 +135,8 @@ PredictionService::PredictionService(ServiceConfig config)
     // matter how drain tasks interleave across shards.
     shard->backoff_rng = Rng(config_.adaptive.base.seed + 0xbac0ff + i);
     const obs::Labels labels{{"shard", std::to_string(i)}};
-    shard->predict_latency = &reg.histogram("ld_predict_latency", labels, 1e-7, 1e2);
+    shard->predict_latency =
+        &reg.histogram("ld_serving_predict_latency_seconds", labels, 1e-7, 1e2);
     shard->queue_depth = &reg.gauge("ld_shard_queue_depth", labels);
     shards_.push_back(std::move(shard));
   }
@@ -305,6 +304,15 @@ void PredictionService::publish_model(Tenant& t, const std::string& name,
   }
 }
 
+void PredictionService::append_history_locked(Tenant& w, std::span<const double> values) {
+  w.history.insert(w.history.end(), values.begin(), values.end());
+  w.observations += values.size();
+  // Trim in chunks so steady-state ingestion stays amortized O(1).
+  if (w.history.size() > config_.max_history + config_.max_history / 4)
+    w.history.erase(w.history.begin(),
+                    w.history.end() - static_cast<std::ptrdiff_t>(config_.max_history));
+}
+
 void PredictionService::observe(const std::string& name, double value) {
   observe_many(name, std::span<const double>(&value, 1));
 }
@@ -334,12 +342,7 @@ void PredictionService::observe_many(const std::string& name,
   double priority = 0.0;
   {
     std::scoped_lock lock(w.mu);
-    w.history.insert(w.history.end(), clean.begin(), clean.end());
-    w.observations += clean.size();
-    // Trim in chunks so steady-state ingestion stays amortized O(1).
-    if (w.history.size() > config_.max_history + config_.max_history / 4)
-      w.history.erase(w.history.begin(),
-                      w.history.end() - static_cast<std::ptrdiff_t>(config_.max_history));
+    append_history_locked(w, clean);
     // Journal the batch inside the same critical section that mutated the
     // history: per-tenant record order == apply order, and `first_step` (the
     // absolute index of values[0]) makes replay idempotent — a snapshot is
@@ -464,7 +467,6 @@ PredictResult PredictionService::predict_detailed(const std::string& name,
   w.obs.predictions->inc();
   level_counters_[static_cast<std::size_t>(result.level)]->inc();
   const double seconds = clock.seconds();
-  w.obs.predict_latency->observe(seconds);
   shards_[w.shard]->predict_latency->observe(seconds);
   if (config_.slo_predict_p99_seconds > 0) {
     const bool breach = seconds > config_.slo_predict_p99_seconds;
@@ -809,11 +811,7 @@ void PredictionService::apply_record(const wal::Record& rec, RecoveryStats& stat
         ++stats.skipped_records;
         return;
       }
-      w.history.insert(w.history.end(), rec.values.begin(), rec.values.end());
-      w.observations += rec.values.size();
-      if (w.history.size() > config_.max_history + config_.max_history / 4)
-        w.history.erase(w.history.begin(),
-                        w.history.end() - static_cast<std::ptrdiff_t>(config_.max_history));
+      append_history_locked(w, rec.values);
       stats.replayed_values += rec.values.size();
       break;
     }

@@ -222,7 +222,7 @@ class PredictionService {
   [[nodiscard]] std::vector<std::string> shard_workload_names(std::size_t shard) const;
 
   /// Cross-shard aggregate of the per-shard prediction-latency histograms
-  /// (ld_predict_latency{shard=}), merged via LatencyHistogram::merged() —
+  /// (ld_serving_predict_latency_seconds{shard=}), merged via LatencyHistogram::merged() —
   /// the fleet-wide tail with the per-shard outliers still visible in the
   /// per-shard series.
   [[nodiscard]] metrics::LatencyHistogram fleet_predict_latency() const;
@@ -264,7 +264,6 @@ class PredictionService {
   /// (all labeled workload=<name>). Pointers stay valid forever: the global
   /// registry is leaked.
   struct Instruments {
-    obs::Histogram* predict_latency = nullptr;
     obs::Histogram* retrain_seconds = nullptr;
     obs::Counter* predictions = nullptr;
     obs::Counter* observations = nullptr;
@@ -281,7 +280,7 @@ class PredictionService {
   /// removed, so a Tenant& stays valid for the service's lifetime.
   struct Tenant {
     Tenant(const core::DriftConfig& drift, const std::string& name, std::size_t shard_index);
-    const std::size_t shard;  ///< tenants_ shard (ld_predict_latency{shard=})
+    const std::size_t shard;  ///< tenants_ shard (the Shard that times its predicts)
     /// Serializes this tenant's publishes from the swap through the
     /// checkpoint write, so the file on disk ends at the newest version.
     /// Never taken by predict or observe.
@@ -329,14 +328,20 @@ class PredictionService {
     std::vector<RetrainJob> queue;  ///< binary heap (std::push/pop_heap)
     bool drain_active = false;      ///< one drain task per shard at a time
     Rng backoff_rng{0};             ///< jitters retry backoff; drain-task-only
-    obs::Histogram* predict_latency = nullptr;  ///< ld_predict_latency{shard=}
-    obs::Gauge* queue_depth = nullptr;          ///< ld_shard_queue_depth{shard=}
+    /// ld_serving_predict_latency_seconds{shard=}: the one predict-latency
+    /// series, so its memory grows with cores, not tenants.
+    obs::Histogram* predict_latency = nullptr;
+    obs::Gauge* queue_depth = nullptr;  ///< ld_shard_queue_depth{shard=}
   };
 
   /// The tenant, registering it (and journaling the registration) when new.
   Tenant& ensure_tenant(const std::string& name);
   /// The tenant; throws std::runtime_error when `name` is unknown.
   [[nodiscard]] Tenant& tenant(const std::string& name) const;
+  /// Append observed values to the history, count them and trim the tail to
+  /// max_history. Live ingest and WAL replay both go through here, so a
+  /// recovered history is bit-identical to the live one. Caller holds w.mu.
+  void append_history_locked(Tenant& w, std::span<const double> values);
   /// Best-effort journal append: a WAL failure degrades durability, never
   /// availability — exceptions are counted (ld_wal_append_failures_total)
   /// and logged, and the serving mutation proceeds regardless.

@@ -185,6 +185,9 @@ Snapshot metrics_gate(GateCache& cache) {
   // is a golden artifact even though the values are timing-dependent.
   serving::ServiceConfig config;
   config.background_retrain = false;
+  // One shard: the per-shard ld_serving_predict_latency_seconds series would
+  // otherwise make the golden shape follow the host's core count.
+  config.shards = 1;
   serving::PredictionService service(config);
   service.publish("golden", *cache.tiny_model());
   serving::LineProtocol protocol(service);

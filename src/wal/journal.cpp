@@ -10,10 +10,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "common/log.hpp"
 #include "fault/injector.hpp"
@@ -133,7 +131,6 @@ std::vector<std::pair<std::uint64_t, std::string>> Journal::segments_locked() co
 }
 
 void Journal::open_active_locked() {
-#ifndef _WIN32
   if (fd_ >= 0) return;
   const std::string path = (fs::path(dir_) / segment_name(seq_)).string();
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
@@ -143,23 +140,17 @@ void Journal::open_active_locked() {
   active_bytes_ = 0;
   dirty_ = false;
   last_sync_ = steady_seconds();
-#else
-  throw std::runtime_error("wal: journaling requires POSIX I/O");
-#endif
 }
 
 void Journal::close_active_locked(bool do_sync) {
-#ifndef _WIN32
   if (fd_ < 0) return;
   if (do_sync && dirty_) ::fsync(fd_);
   ::close(fd_);
   fd_ = -1;
   dirty_ = false;
-#endif
 }
 
 void Journal::sync_locked() {
-#ifndef _WIN32
   if (fd_ < 0 || !dirty_) return;
   LD_FAULT_POINT("wal.fsync");
   if (::fsync(fd_) != 0)
@@ -168,11 +159,9 @@ void Journal::sync_locked() {
   dirty_ = false;
   last_sync_ = steady_seconds();
   counters().fsyncs->inc();
-#endif
 }
 
 void Journal::append(const std::string& encoded) {
-#ifndef _WIN32
   std::scoped_lock lock(mu_);
   LD_FAULT_POINT("wal.append");
   open_active_locked();
@@ -209,10 +198,6 @@ void Journal::append(const std::string& encoded) {
     ++seq_;
     counters().rotations->inc();
   }
-#else
-  (void)encoded;
-  throw std::runtime_error("wal: journaling requires POSIX I/O");
-#endif
 }
 
 void Journal::sync() {

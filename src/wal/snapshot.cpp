@@ -13,7 +13,6 @@
 #include <unordered_set>
 
 #include "common/checksum.hpp"
-#include "common/log.hpp"
 #include "core/serialization.hpp"
 #include "obs/registry.hpp"
 
@@ -205,34 +204,11 @@ Manifest load_manifest_file(const std::string& path) {
 }
 
 Manifest load_manifest(const std::string& path, std::string* loaded_from) {
-  std::string primary_error;
-  try {
-    Manifest manifest = load_manifest_file(path);
-    if (loaded_from != nullptr) *loaded_from = path;
-    return manifest;
-  } catch (const std::exception& e) {
-    primary_error = e.what();
-  }
-
-  std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
-    std::filesystem::rename(path, path + ".quarantine", ec);
-    if (!ec) {
-      quarantined_counter().inc();
-      log::warn("wal: quarantined corrupt manifest '", path, "' (", primary_error, ")");
-    }
-  }
-
-  const std::string prev = path + ".prev";
-  try {
-    Manifest manifest = load_manifest_file(prev);
-    log::warn("wal: recovered manifest from previous snapshot '", prev, "'");
-    if (loaded_from != nullptr) *loaded_from = prev;
-    return manifest;
-  } catch (const std::exception& e) {
-    throw std::runtime_error("wal: manifest '" + path + "' failed (" + primary_error +
-                             ") and fallback '" + prev + "' failed (" + e.what() + ")");
-  }
+  Manifest manifest;
+  core::load_file_durable(path, {"wal: ", "manifest ", nullptr, quarantined_counter},
+                          loaded_from,
+                          [&](const std::string& file) { manifest = load_manifest_file(file); });
+  return manifest;
 }
 
 std::string manifest_path(const std::string& wal_dir) {

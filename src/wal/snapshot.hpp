@@ -13,8 +13,8 @@
 //     bit-identical history).
 //
 // Written via core::save_file_durable (write-temp + fsync + rename +
-// `.prev`), loaded with the same quarantine-and-fall-back behavior as
-// load_checkpoint. A missing manifest is a cold start, not an error.
+// `.prev`), loaded via core::load_file_durable (the quarantine-and-fall-back
+// load_checkpoint uses). A missing manifest is a cold start, not an error.
 #pragma once
 
 #include <cstdint>

@@ -886,6 +886,19 @@ TEST(NetProtocol, FleetPredictLatencyMergesShards) {
   const metrics::LatencyHistogram fleet = service.fleet_predict_latency();
   EXPECT_EQ(fleet.count(), 3u) << "one predict per workload must aggregate across shards";
   EXPECT_GT(fleet.percentile(99.0), 0.0);
+
+  // The per-shard family is the only predict-latency record: one series per
+  // shard, none per workload, so its memory does not grow with tenants.
+  std::istringstream scrape(obs::MetricsRegistry::global().prometheus_text());
+  std::size_t shard_series = 0;
+  for (std::string line; std::getline(scrape, line);) {
+    if (line.rfind("ld_serving_predict_latency_seconds", 0) != 0) continue;
+    EXPECT_EQ(line.find("workload="), std::string::npos) << line;
+    if (line.rfind("ld_serving_predict_latency_seconds_count{", 0) == 0 &&
+        line.find("shard=\"") != std::string::npos)
+      ++shard_series;
+  }
+  EXPECT_EQ(shard_series, service.shard_count());
 }
 
 }  // namespace

@@ -105,9 +105,9 @@ TEST(TenantFootprint, SharedModelFleetStaysUnderBytesPerTenantBound) {
   constexpr std::size_t kTenants = 10000;
   constexpr std::size_t kWarmup = 200;
   // Measured at 10k tenants sharing one model on x86-64 Linux with glibc
-  // malloc: ~6400 bytes per tenant (history, counters, drift monitor, the
-  // published version, eleven per-tenant metric series and the trie entry).
-  // The bound is twice that.
+  // malloc: ~6000 bytes per tenant (history, counters, drift monitor, the
+  // published version, ten per-tenant metric series and the trie entry).
+  // The bound is about twice that.
   constexpr std::size_t kMaxBytesPerTenant = 12800;
 
   const std::vector<double> series = testutil::seasonal_series(64);

@@ -23,10 +23,8 @@
 #include <string>
 #include <vector>
 
-#ifndef _WIN32
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "common/log.hpp"
 #include "fault/injector.hpp"
@@ -625,8 +623,6 @@ TEST_F(WalServiceTest, ProtocolExposesSnapshotAndRecoveryCounters) {
 // ---------------------------------------------------------------------------
 // WalCrash: a real SIGKILL mid-traffic, recovered in this process.
 
-#ifndef _WIN32
-
 /// Child half: runs only when re-exec'd by KilledProcessRecoversBitIdentical
 /// with LD_WAL_CRASH_DIR set. Ingests durably, then dies without any
 /// destructor or flush — the closest a test can get to yanking the cord.
@@ -695,7 +691,5 @@ TEST(WalCrash, KilledProcessRecoversBitIdentical) {
               std::bit_cast<std::uint64_t>(expected[i]))
         << "forecast[" << i << "] differs after the kill -9 recovery";
 }
-
-#endif  // !_WIN32
 
 }  // namespace
