@@ -191,7 +191,7 @@ int run_connect_mode(const cli::Args& args) {
     publish_seconds.reserve(target - registered);
     const Stopwatch reg_clock;
     for (; registered < target; ++registered) {
-      char name[16];
+      char name[24];
       std::snprintf(name, sizeof name, "w%05zu", registered);
       const Stopwatch publish_clock;
       service.publish(name, *model);
@@ -216,7 +216,7 @@ int run_connect_mode(const cli::Args& args) {
         const double value = warm.back();
         for (std::size_t r = 0; r < per_thread; ++r) {
           const std::size_t wi = (t * per_thread * 7919 + r * 31) % target;
-          char name[16];
+          char name[24];
           std::snprintf(name, sizeof name, "w%05zu", wi);
           try {
             if (!client) client = std::make_unique<net::Client>("127.0.0.1", server.port());
@@ -358,7 +358,7 @@ int run_register_mode(const cli::Args& args) {
   publish_seconds.reserve(tenants);
   const Stopwatch sweep_clock;
   for (std::size_t i = 0; i < tenants; ++i) {
-    char name[16];
+    char name[24];
     std::snprintf(name, sizeof name, "w%06zu", i);
     const Stopwatch publish_clock;
     service.publish(name, *model);

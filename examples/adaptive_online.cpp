@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   cfg.base.training.trainer.max_epochs = 25;
   cfg.base.training.trainer.learning_rate = 1e-2;
   cfg.base.seed = seed;
-  cfg.monitor_window = 16;
-  cfg.cooldown = 16;
+  cfg.drift.monitor_window = 16;
+  cfg.drift.cooldown = 16;
 
   // Frozen reference: plain LoadDynamics, never retrained after fit.
   const core::LoadDynamics frozen_framework(cfg.base);

@@ -51,7 +51,7 @@ struct OptimizerConfig {
   /// Proposals (and, for IndexedObjective, evaluations) per BO round.
   /// 1 reproduces the paper's strictly sequential loop.
   std::size_t batch_size = 1;
-  GpConfig gp;
+  GpConfig gp{};
 };
 
 struct OptimizationResult {

@@ -112,10 +112,10 @@ std::shared_ptr<TrainedModel> warm_retrain(std::span<const double> history_full,
 }
 
 AdaptiveLoadDynamics::AdaptiveLoadDynamics(AdaptiveConfig config) : config_(std::move(config)) {
-  if (config_.monitor_window == 0 || config_.validation_fraction <= 0.0 ||
+  if (config_.drift.monitor_window == 0 || config_.validation_fraction <= 0.0 ||
       config_.validation_fraction >= 1.0)
     throw std::invalid_argument("AdaptiveLoadDynamics: bad monitor/validation config");
-  monitor_ = DriftMonitor(config_.drift_config());
+  monitor_ = DriftMonitor(config_.drift);
 }
 
 const Hyperparameters& AdaptiveLoadDynamics::current_hyperparameters() const {

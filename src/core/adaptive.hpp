@@ -25,9 +25,13 @@ struct DriftConfig {
   std::size_t monitor_window = 24;    ///< recent forecasts scored for drift
   std::size_t min_scored = 8;         ///< don't judge drift on fewer samples
   double degradation_factor = 2.5;    ///< drift when recent MAPE > factor * baseline
-  double absolute_mape_floor = 15.0;  ///< ...and above this floor (%)
+  double absolute_mape_floor = 15.0;  ///< ...and above this floor (%), so tiny
+                                      ///< baselines don't trigger on noise
   std::size_t cooldown = 24;          ///< min intervals between retrains
-  bool changepoint_trigger = false;   ///< also retrain on a recent mean shift
+  /// Also retrain when a mean-shift changepoint lands in the recent window —
+  /// catches regime changes the error monitor is slow to notice (e.g. shifts
+  /// the old model happens to track for a while).
+  bool changepoint_trigger = false;
   std::size_t changepoint_window = 256;  ///< history suffix scanned per check
 };
 
@@ -76,34 +80,13 @@ class DriftMonitor {
 
 struct AdaptiveConfig {
   LoadDynamicsConfig base;            ///< used for the initial fit
-  std::size_t monitor_window = 24;    ///< recent forecasts scored for drift
-  std::size_t min_scored = 8;         ///< don't judge drift on fewer samples
-  double degradation_factor = 2.5;    ///< drift when recent MAPE > factor * baseline
-  double absolute_mape_floor = 15.0;  ///< ...and above this floor (%), so tiny
-                                      ///< baselines don't trigger on noise
-  std::size_t cooldown = 24;          ///< min intervals between retrains
+  DriftConfig drift;                  ///< when the monitor calls a retrain
   std::size_t refresh_candidates = 3; ///< random configs tried per retrain
                                       ///< (plus the incumbent hyperparameters)
   double validation_fraction = 0.25;  ///< history tail used as CV on retrain
   std::size_t retrain_history_cap = 120;  ///< warm retrains use only this many
                                           ///< recent intervals (0 = all), so the
                                           ///< new pattern dominates the fit
-  /// Additionally trigger a retrain when a mean-shift changepoint lands in
-  /// the recent window — catches regime changes the error monitor is slow
-  /// to notice (e.g. shifts the old model happens to track for a while).
-  bool changepoint_trigger = false;
-  std::size_t changepoint_window = 256;   ///< history suffix scanned per step
-
-  /// The drift-monitor view of this config.
-  [[nodiscard]] DriftConfig drift_config() const {
-    return {.monitor_window = monitor_window,
-            .min_scored = min_scored,
-            .degradation_factor = degradation_factor,
-            .absolute_mape_floor = absolute_mape_floor,
-            .cooldown = cooldown,
-            .changepoint_trigger = changepoint_trigger,
-            .changepoint_window = changepoint_window};
-  }
 };
 
 /// One warm retrain round, shared by AdaptiveLoadDynamics and the serving

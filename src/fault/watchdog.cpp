@@ -10,6 +10,24 @@ namespace {
 
 thread_local const CancelToken* t_cancel_token = nullptr;
 
+// Runs fn and classifies how it ended, for both of Supervisor::run's paths:
+// false with `error` set when fn threw, and `permanent` set when that was a
+// std::logic_error (std::invalid_argument included), which no retry can fix.
+bool run_classified(const std::function<void()>& fn, std::string& error, bool& permanent) {
+  try {
+    fn();
+    return true;
+  } catch (const std::logic_error& e) {
+    error = e.what();
+    permanent = true;
+  } catch (const std::exception& e) {
+    error = e.what();
+  } catch (...) {
+    error = "unknown exception";
+  }
+  return false;
+}
+
 }  // namespace
 
 CancelScope::CancelScope(const CancelToken* token) noexcept : previous_(t_cancel_token) {
@@ -70,25 +88,13 @@ TaskStatus Supervisor::run(const std::function<void()>& fn, double timeout_secon
                            std::string* error, bool* permanent) {
   if (permanent != nullptr) *permanent = false;
   if (timeout_seconds <= 0.0) {
-    // Unsupervised fast path: no helper thread, exceptions surface directly.
-    try {
-      fn();
-      return TaskStatus::kCompleted;
-    } catch (const CancelledError& e) {
-      if (error != nullptr) *error = e.what();
-      return TaskStatus::kFailed;
-    } catch (const std::invalid_argument& e) {
-      if (error != nullptr) *error = e.what();
-      if (permanent != nullptr) *permanent = true;
-      return TaskStatus::kFailed;
-    } catch (const std::logic_error& e) {
-      if (error != nullptr) *error = e.what();
-      if (permanent != nullptr) *permanent = true;
-      return TaskStatus::kFailed;
-    } catch (const std::exception& e) {
-      if (error != nullptr) *error = e.what();
-      return TaskStatus::kFailed;
-    }
+    // Unsupervised fast path: no helper thread, no cancellation.
+    std::string task_error;
+    bool task_permanent = false;
+    if (run_classified(fn, task_error, task_permanent)) return TaskStatus::kCompleted;
+    if (error != nullptr) *error = std::move(task_error);
+    if (permanent != nullptr) *permanent = task_permanent;
+    return TaskStatus::kFailed;
   }
 
   {
@@ -99,21 +105,12 @@ TaskStatus Supervisor::run(const std::function<void()>& fn, double timeout_secon
   auto task = std::make_shared<Task>();
   std::thread worker([task, fn] {
     CancelScope scope(&task->token);
-    std::exception_ptr task_error;
+    std::string task_error;
     bool task_permanent = false;
-    try {
-      fn();
-    } catch (const std::invalid_argument&) {
-      task_error = std::current_exception();
-      task_permanent = true;
-    } catch (const std::logic_error&) {
-      task_error = std::current_exception();
-      task_permanent = true;
-    } catch (...) {
-      task_error = std::current_exception();
-    }
+    const bool completed = run_classified(fn, task_error, task_permanent);
     std::scoped_lock lock(task->mu);
-    task->error = task_error;
+    task->failed = !completed;
+    task->error = std::move(task_error);
     task->permanent = task_permanent;
     task->done = true;
     task->cv.notify_all();
@@ -145,16 +142,8 @@ TaskStatus Supervisor::run(const std::function<void()>& fn, double timeout_secon
   }
   worker.join();
 
-  if (task->error != nullptr) {
-    if (error != nullptr) {
-      try {
-        std::rethrow_exception(task->error);
-      } catch (const std::exception& e) {
-        *error = e.what();
-      } catch (...) {
-        *error = "unknown exception";
-      }
-    }
+  if (task->failed) {
+    if (error != nullptr) *error = task->error;
     if (permanent != nullptr) *permanent = task->permanent;
     return TaskStatus::kFailed;
   }

@@ -105,7 +105,8 @@ class Supervisor {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
-    std::exception_ptr error;
+    bool failed = false;
+    std::string error;
     bool permanent = false;
   };
 

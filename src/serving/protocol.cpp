@@ -31,8 +31,8 @@ struct CommandInfo {
 const CommandInfo& command_info(const std::string& verb) {
   static const std::map<std::string, CommandInfo> table = [] {
     std::map<std::string, CommandInfo> t;
-    const auto add = [&t](const char* verb, const char* cmd, const char* span) {
-      t.emplace(verb,
+    const auto add = [&t](const char* key, const char* cmd, const char* span) {
+      t.emplace(key,
                 CommandInfo{span, &obs::MetricsRegistry::global().histogram(
                                       "ld_serving_command_latency_seconds",
                                       {{"command", cmd}}, 1e-7, 1e3)});

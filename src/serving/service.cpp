@@ -62,12 +62,10 @@ double steady_seconds() {
 void diff_check_forecast(const std::string& name, const PublishedModel& model,
                          std::span<const double> history, std::size_t horizon,
                          std::span<const double> live) {
-  // When the live predict ran the fused single-timestep path, its regrouped
-  // accumulation diverges further from the layered reference than a layered
-  // GEMM does — pick the bound that matches what actually ran.
-  const std::uint64_t bound = core::TrainedModel::fused_predict_live()
-                                  ? verify::kFusedPredictUlpBound
-                                  : verify::kPredictUlpBound;
+  // A layered predict computes the reference's arithmetic exactly; only the
+  // fused single-timestep path regroups its sums.
+  const std::uint64_t bound =
+      core::TrainedModel::fused_predict_live() ? verify::kFusedPredictUlpBound : 0;
   std::vector<double> reference;
   try {
     const tensor::ScopedKernelMode guard(tensor::KernelMode::kReference);
@@ -183,7 +181,7 @@ PredictionService::Tenant& PredictionService::ensure_tenant(const std::string& n
   if (Tenant* t = tenants_.find(name).get()) return *t;
   validate_name(name);
   return *tenants_.insert(name, [&] {
-    auto t = std::make_shared<Tenant>(config_.adaptive.drift_config(), name,
+    auto t = std::make_shared<Tenant>(config_.adaptive.drift, name,
                                       tenants_.shard_of(name));
     // Journal the registration under the shard's writer lock, before the
     // tenant is visible: per-shard registration order matches apply order

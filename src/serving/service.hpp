@@ -142,11 +142,10 @@ struct PredictResult {
 /// set_verify_diff(true), or LD_VERIFY_DIFF=1 in the environment when the
 /// setter was never called — every live forecast is recomputed with the
 /// serial reference kernels (tensor::KernelMode::kReference) and compared
-/// ULP-wise against the production path. A divergence beyond the documented
-/// bound — verify::kPredictUlpBound for the layered path,
-/// verify::kFusedPredictUlpBound when the fused inference ran —
-/// bumps ld_verify_diff_mismatch_total{workload=} and logs a warning; the
-/// production forecast is served either way.
+/// ULP-wise against the production path. A divergence — any bit for the
+/// layered path, beyond verify::kFusedPredictUlpBound when the fused
+/// inference ran — bumps ld_verify_diff_mismatch_total{workload=} and logs a
+/// warning; the production forecast is served either way.
 /// Roughly doubles predict cost — a canary/debug mode, not a default.
 void set_verify_diff(bool enabled) noexcept;
 [[nodiscard]] bool verify_diff_enabled() noexcept;

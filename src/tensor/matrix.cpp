@@ -65,9 +65,9 @@ thread_local KernelMode t_kernel_mode = KernelMode::kPacked;
 
 // Reference kernels: the textbook serial loops the packed kernel is
 // differentially tested against. Deliberately free of packing, tiling and
-// threads so a miscompiled or mis-blocked fast path cannot hide — the only
-// thing they share with the fast path is the ascending-k summation order per
-// C element.
+// threads so a miscompiled or mis-blocked fast path cannot hide. They compute
+// the packed tile's documented chain, sum = std::fma(a, b, sum) over
+// ascending p from 0, then c += sum, so the two modes agree bit for bit.
 void gemm_reference(const double* a, const double* b, double* c, std::size_t m,
                     std::size_t k, std::size_t n) {
   for (std::size_t i = 0; i < m; ++i) {
@@ -75,7 +75,7 @@ void gemm_reference(const double* a, const double* b, double* c, std::size_t m,
     double* crow = c + i * n;
     for (std::size_t j = 0; j < n; ++j) {
       double sum = 0.0;
-      for (std::size_t p = 0; p < k; ++p) sum += arow[p] * b[p * n + j];
+      for (std::size_t p = 0; p < k; ++p) sum = std::fma(arow[p], b[p * n + j], sum);
       crow[j] += sum;
     }
   }
@@ -87,7 +87,7 @@ void gemm_at_b_reference(const double* a, const double* b, double* c, std::size_
     double* crow = c + i * n;
     for (std::size_t j = 0; j < n; ++j) {
       double sum = 0.0;
-      for (std::size_t p = 0; p < k; ++p) sum += a[p * m + i] * b[p * n + j];
+      for (std::size_t p = 0; p < k; ++p) sum = std::fma(a[p * m + i], b[p * n + j], sum);
       crow[j] += sum;
     }
   }
@@ -101,7 +101,7 @@ void gemm_a_bt_reference(const double* a, const double* b, double* c, std::size_
     for (std::size_t j = 0; j < n; ++j) {
       const double* brow = b + j * k;
       double sum = 0.0;
-      for (std::size_t p = 0; p < k; ++p) sum += arow[p] * brow[p];
+      for (std::size_t p = 0; p < k; ++p) sum = std::fma(arow[p], brow[p], sum);
       crow[j] += sum;
     }
   }
@@ -110,7 +110,7 @@ void gemm_a_bt_reference(const double* a, const double* b, double* c, std::size_
 // Whether a problem of m*n*k multiply-adds runs the reference loop: always
 // under kReference, and below the crossover size under kPacked too, because
 // the reference loop's lack of packing overhead wins on tiny shapes (pinned
-// by BM_GemmTiny).
+// by BM_GemmTiny). Both loops give the same bits, so this is speed only.
 bool use_reference(std::size_t flops) {
   return t_kernel_mode == KernelMode::kReference || flops < simd::kSimdMinFlops;
 }

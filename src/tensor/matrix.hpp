@@ -69,10 +69,9 @@ class Matrix {
 ///    The golden gates run it too.
 ///  - kReference: plain serial triple loop (no packing, no threads, no
 ///    tiling), the oracle for differential testing (src/verify/).
-/// Both modes sum each C element over k in ascending order in one pass, so
-/// they agree within a few ULP — bounds are pinned in verify/ulp.hpp and
-/// enforced in verify_test — and each mode is bit-identical to itself for
-/// any thread count.
+/// Both modes compute each C element as the same std::fma chain over
+/// ascending k, so they agree bit for bit (verify_test asserts 0 ULP) for
+/// any thread count and in every build type.
 enum class KernelMode { kPacked, kReference };
 
 /// Per-thread kernel selection (dispatch happens on the calling thread,

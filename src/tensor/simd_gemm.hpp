@@ -30,7 +30,8 @@ inline constexpr std::size_t kNr = 16;
 
 /// Below this m*n*k the packing overhead costs more than the micro-tile
 /// saves, so matrix.cpp runs the plain reference loops instead (pinned by
-/// BM_GemmTiny; see bench/perf_micro.cpp).
+/// BM_GemmTiny; see bench/perf_micro.cpp). They compute the same std::fma
+/// chain, so the crossover never changes a result bit.
 inline constexpr std::size_t kSimdMinFlops = 512;
 
 /// Above this m*n*k, row panels are distributed over ThreadPool::global()

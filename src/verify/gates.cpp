@@ -65,9 +65,9 @@ core::LoadDynamicsConfig gate_loaddynamics_config(workloads::TraceKind kind) {
 
 // Default tolerances for MAPE fields: absolute floor for near-zero errors
 // (Wikipedia sits around 1%), relative band for the rest. Chosen to absorb
-// cross-compiler/architecture floating-point drift (FMA contraction,
-// vectorization) while staying far below any behavioral change a code bug
-// produces — see EXPERIMENTS.md for the calibration notes.
+// floating-point drift across C libraries (exp/tanh need not round alike)
+// while staying far below any behavioral change a code bug produces — see
+// EXPERIMENTS.md for the calibration notes.
 constexpr double kMapeAbsTol = 0.25;  // percentage points
 constexpr double kMapeRelTol = 0.05;  // 5% of the golden value
 

@@ -1,12 +1,13 @@
 // ULP-distance helpers for differential kernel testing (DESIGN.md §11).
 //
-// Floating-point results from two mathematically equivalent code paths
-// (scalar reference vs. packed, serial vs. pool-parallel) differ, if
-// at all, only through rounding — and because every kernel in this project
-// sums in the same ascending-k order, the divergence is bounded by how the
-// compiler contracts FMAs and vectorizes each loop. Units-in-the-last-place
-// is the right metric for that: it is scale-free, and a bound of "N ULP"
-// means "the last log2(N) bits of the mantissa", independent of magnitude.
+// Two code paths that compute the same arithmetic agree bit for bit. The
+// build never contracts a*b+c on its own (-ffp-contract=off), and the packed
+// GEMM and the scalar reference both compute the same explicit std::fma
+// chain, so kPacked against kReference, serial against pool-parallel and
+// Debug against Release are all 0 ULP. Units-in-the-last-place is still the
+// right metric where two paths really regroup a sum: it is scale-free, and a
+// bound of "N ULP" means "the last log2(N) bits of the mantissa", independent
+// of magnitude.
 //
 // Header-only on purpose: the serving predict path (LD_VERIFY_DIFF=1) needs
 // the comparison without pulling the whole ld_verify library into ld_serving.
@@ -21,33 +22,14 @@
 
 namespace ld::verify {
 
-/// Documented agreement bounds, enforced by verify_test (DifferentialGemm /
-/// DifferentialLstm). Both paths sum each output element over k in ascending
-/// order, so the only divergence sources are FMA contraction and
-/// vectorization choices. Caveat: an ULP bound is only meaningful when the
-/// result is well away from zero — under catastrophic cancellation (signed
-/// inputs summing to ~0) a few-ULP absolute difference spans thousands of
-/// ULPs, so the differential tests use positive operands whose dot products
-/// cannot cancel. The bounds below hold on such data with headroom for other
-/// compilers/architectures.
-inline constexpr std::uint64_t kGemmUlpBound = 16;    ///< one GEMM call
-inline constexpr std::uint64_t kLstmUlpBound = 1024;  ///< a full recurrent forward pass
-inline constexpr std::uint64_t kPredictUlpBound = 4096;  ///< multi-step serving forecast
-
-/// One packed GEMM call (kPacked, serial or ThreadPool-parallel) vs the
-/// scalar reference. The micro-tile keeps the ascending-k single-pass order,
-/// so divergence is still just FMA contraction — but the tile's explicit
-/// std::fma chain can differ from whatever the compiler contracted in the
-/// reference loop, so the bound gets headroom over kGemmUlpBound.
-inline constexpr std::uint64_t kSimdGemmUlpBound = 64;
-
 /// Fused single-timestep inference (LstmNetwork::forward_one) vs the layered
 /// reference forward, end to end through a serving predict. The fused step
 /// accumulates the W and U contributions into one running sum instead of two
 /// separately-summed GEMV results added once, and that regrouping compounds
-/// through T recurrent steps of squashing nonlinearities — hence a larger
-/// bound than kPredictUlpBound. Only meaningful on well-scaled (trained,
-/// positive) predictions, like the other bounds.
+/// through T recurrent steps of squashing nonlinearities. It is the one
+/// documented bound. Only meaningful on well-scaled (trained, positive)
+/// predictions: under catastrophic cancellation a tiny absolute difference
+/// spans thousands of ULPs.
 inline constexpr std::uint64_t kFusedPredictUlpBound = 65536;
 
 /// Distance in representable doubles between a and b. 0 means bit-identical

@@ -24,11 +24,11 @@ AdaptiveConfig quick_adaptive() {
   cfg.base.initial_random = 3;
   cfg.base.training.trainer.max_epochs = 15;
   cfg.base.training.trainer.learning_rate = 1e-2;
-  cfg.monitor_window = 16;
-  cfg.min_scored = 6;
-  cfg.cooldown = 16;
-  cfg.degradation_factor = 2.0;
-  cfg.absolute_mape_floor = 12.0;
+  cfg.drift.monitor_window = 16;
+  cfg.drift.min_scored = 6;
+  cfg.drift.cooldown = 16;
+  cfg.drift.degradation_factor = 2.0;
+  cfg.drift.absolute_mape_floor = 12.0;
   return cfg;
 }
 
@@ -66,11 +66,11 @@ TEST(Adaptive, ChangepointTriggerRetrainsEvenWhenErrorMonitorIsDisabled) {
   AdaptiveConfig cfg = quick_adaptive();
   // Disable the error-drift trigger entirely so only the changepoint
   // detector can queue a retrain.
-  cfg.degradation_factor = 1e9;
-  cfg.absolute_mape_floor = 1e9;
-  cfg.cooldown = 32;
-  cfg.changepoint_trigger = true;
-  cfg.changepoint_window = 128;
+  cfg.drift.degradation_factor = 1e9;
+  cfg.drift.absolute_mape_floor = 1e9;
+  cfg.drift.cooldown = 32;
+  cfg.drift.changepoint_trigger = true;
+  cfg.drift.changepoint_window = 128;
 
   AdaptiveLoadDynamics with_trigger(cfg);
   with_trigger.fit(std::span<const double>(series).subspan(0, 300));
@@ -81,7 +81,7 @@ TEST(Adaptive, ChangepointTriggerRetrainsEvenWhenErrorMonitorIsDisabled) {
 
   // Control: same stream, trigger off -> the disabled error monitor alone
   // must never retrain.
-  cfg.changepoint_trigger = false;
+  cfg.drift.changepoint_trigger = false;
   AdaptiveLoadDynamics without_trigger(cfg);
   without_trigger.fit(std::span<const double>(series).subspan(0, 300));
   for (std::size_t t = 300; t < 420; ++t)
@@ -153,7 +153,7 @@ TEST(Adaptive, FrozenModelIsWorseAfterRegimeChange) {
 TEST(Adaptive, CooldownLimitsRetrainRate) {
   const auto series = regime_series(460, 320);
   AdaptiveConfig cfg = quick_adaptive();
-  cfg.cooldown = 1000;  // effectively one retrain max in this window
+  cfg.drift.cooldown = 1000;  // effectively one retrain max in this window
   AdaptiveLoadDynamics adaptive(cfg);
   adaptive.fit(std::span<const double>(series).subspan(0, 300));
   for (std::size_t t = 300; t < 460; ++t) {
@@ -165,7 +165,7 @@ TEST(Adaptive, CooldownLimitsRetrainRate) {
 
 TEST(Adaptive, UsageErrors) {
   AdaptiveConfig bad = quick_adaptive();
-  bad.monitor_window = 0;
+  bad.drift.monitor_window = 0;
   EXPECT_THROW(AdaptiveLoadDynamics{bad}, std::invalid_argument);
 
   AdaptiveLoadDynamics unfitted(quick_adaptive());

@@ -6,9 +6,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -277,6 +279,35 @@ TEST(FaultWatchdog, SupervisedPathCompletesFailsAndTimesOut) {
   // either way the next run (and the destructor) reaps it without blocking.
   EXPECT_EQ(supervisor.run([] {}, 1.0, &error, &permanent),
             fault::TaskStatus::kCompleted);
+}
+
+TEST(FaultWatchdog, BothPathsClassifyEveryExceptionAlike) {
+  // The inline path (timeout <= 0) and the helper-thread path share one
+  // classification: same status, same message, same permanence.
+  struct Case {
+    std::function<void()> fn;
+    const char* error;
+    bool permanent;
+  };
+  const Case cases[] = {
+      {[] { throw std::runtime_error("transient"); }, "transient", false},
+      {[] { throw fault::CancelledError("cancelled"); }, "cancelled", false},
+      {[] { throw std::invalid_argument("bad config"); }, "bad config", true},
+      {[] { throw std::logic_error("broken"); }, "broken", true},
+      {[] { throw 42; }, "unknown exception", false},
+  };
+  fault::Supervisor supervisor;
+  for (const Case& c : cases) {
+    for (const double timeout : {0.0, 5.0}) {
+      std::string error;
+      bool permanent = !c.permanent;
+      EXPECT_EQ(supervisor.run(c.fn, timeout, &error, &permanent),
+                fault::TaskStatus::kFailed)
+          << c.error << " with timeout " << timeout;
+      EXPECT_EQ(error, c.error) << "timeout " << timeout;
+      EXPECT_EQ(permanent, c.permanent) << c.error << " with timeout " << timeout;
+    }
+  }
 }
 
 TEST(FaultFallback, AllFiniteAndBaselineForecast) {

@@ -315,8 +315,9 @@ TEST(ObsGovernor, ExpositionStaysParseableAtCap) {
     EXPECT_TRUE(std::isfinite(value)) << line;
     EXPECT_EQ(*end, '\0') << line;
     const std::size_t open = line.find('{');
-    if (open != std::string::npos)
+    if (open != std::string::npos) {
       EXPECT_LT(line.find('}'), space) << "unclosed label set: " << line;
+    }
   }
   // Scrape cost is O(cap): histograms expand to 8 lines each, but the number
   // of emitted series is bounded by the cap, not the 300-tenant fleet.

@@ -401,7 +401,8 @@ TEST(RegistryConcurrency, NamesStreamedDuringPublishesStaysSortedAndMonotone) {
 
   Rng shuffle_rng(77);
   std::vector<std::string> order;
-  for (std::size_t i = 0; i < kNames; ++i) order.push_back("t" + std::to_string(i));
+  for (std::size_t i = 0; i < kNames; ++i)
+    order.push_back(std::string("t").append(std::to_string(i)));
   std::vector<std::size_t> index = shuffle_rng.permutation(order.size());
   for (const std::size_t i : index) (void)table.insert(order[i], [] { return 1; });
   done.store(true, std::memory_order_release);

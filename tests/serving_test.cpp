@@ -57,11 +57,11 @@ serving::ServiceConfig quick_service(bool background_retrain = false) {
   cfg.adaptive.base.training.trainer.max_epochs = 3;
   cfg.adaptive.refresh_candidates = 1;
   cfg.adaptive.retrain_history_cap = 120;
-  cfg.adaptive.monitor_window = 16;
-  cfg.adaptive.min_scored = 6;
-  cfg.adaptive.cooldown = 8;
-  cfg.adaptive.degradation_factor = 1.5;
-  cfg.adaptive.absolute_mape_floor = 10.0;
+  cfg.adaptive.drift.monitor_window = 16;
+  cfg.adaptive.drift.min_scored = 6;
+  cfg.adaptive.drift.cooldown = 8;
+  cfg.adaptive.drift.degradation_factor = 1.5;
+  cfg.adaptive.drift.absolute_mape_floor = 10.0;
   return cfg;
 }
 

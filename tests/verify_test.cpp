@@ -161,15 +161,22 @@ TEST(Golden, RejectsMalformedJsonWithPosition) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential GEMM: reference scalar kernels vs the packed production kernel
+// Differential GEMM: reference scalar kernels vs the packed production kernel.
+// Both compute every C element as the same std::fma chain, so every
+// comparison is 0 ULP, on positive and on signed data alike.
 
-// Positive operands on purpose: every dot product is a sum of positive terms,
-// so no cancellation and the ULP bound measures real kernel divergence (FMA
-// contraction / vectorization). With signed data a near-zero output can sit
-// thousands of ULPs from an absolutely-tiny difference (see verify/ulp.hpp).
 tensor::Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   tensor::Matrix m(rows, cols);
   for (double& v : m.flat()) v = rng.uniform(0.5, 2.0);
+  return m;
+}
+
+// Signed operands: dot products cancel, so outputs land near zero, where an
+// absolutely tiny rounding difference spans thousands of ULPs. Only an exact
+// kernel agreement survives this data.
+tensor::Matrix signed_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
+  tensor::Matrix m(rows, cols);
+  for (double& v : m.flat()) v = rng.uniform(-2.0, 2.0);
   return m;
 }
 
@@ -208,8 +215,8 @@ TEST(DifferentialGemm, KernelModeIsThreadLocal) {
 // the std::fma chain it promises to compute exactly.
 
 // One matmul of random m x k x n operands under the packed kernel against the
-// scalar reference, within the packed kernel's per-call bound.
-void expect_matmul_within_bound(std::size_t m, std::size_t k, std::size_t n, Rng& rng) {
+// scalar reference: bit-identical.
+void expect_matmul_bit_identical(std::size_t m, std::size_t k, std::size_t n, Rng& rng) {
   const tensor::Matrix a = random_matrix(m, k, rng);
   const tensor::Matrix b = random_matrix(k, n, rng);
   tensor::Matrix reference;
@@ -219,7 +226,7 @@ void expect_matmul_within_bound(std::size_t m, std::size_t k, std::size_t n, Rng
   }
   tensor::ScopedKernelMode mode(tensor::KernelMode::kPacked);
   const tensor::Matrix packed = tensor::matmul(a, b);
-  EXPECT_LE(verify::max_ulp_distance(packed.flat(), reference.flat()), verify::kSimdGemmUlpBound)
+  EXPECT_EQ(verify::max_ulp_distance(packed.flat(), reference.flat()), 0u)
       << "matmul " << m << "x" << k << "x" << n;
 }
 
@@ -233,7 +240,7 @@ TEST(DifferentialGemm, BlockedMatchesReferenceWithinBound) {
                                {17, 33, 9},
                                {64, 64, 64},
                                {120, 70, 50}})
-    expect_matmul_within_bound(m, k, n, rng);
+    expect_matmul_bit_identical(m, k, n, rng);
 }
 
 TEST(DifferentialGemm, SimdTiersMatchReferenceWithinBound) {
@@ -241,7 +248,7 @@ TEST(DifferentialGemm, SimdTiersMatchReferenceWithinBound) {
   // panels): exactly one tile, and remainder rows with a tail column panel.
   Rng rng(43);
   for (const auto [m, k, n] : {std::array<std::size_t, 3>{8, 8, 8}, {65, 31, 97}})
-    expect_matmul_within_bound(m, k, n, rng);
+    expect_matmul_bit_identical(m, k, n, rng);
 }
 
 TEST(DifferentialGemm, TransposedVariantsMatchReference) {
@@ -264,10 +271,8 @@ TEST(DifferentialGemm, TransposedVariantsMatchReference) {
     tensor::matmul_at_b_into(a, b, atb_reference);
     tensor::matmul_a_bt_into(c, d, abt_reference);
   }
-  EXPECT_LE(verify::max_ulp_distance(atb_packed.flat(), atb_reference.flat()),
-            verify::kSimdGemmUlpBound);
-  EXPECT_LE(verify::max_ulp_distance(abt_packed.flat(), abt_reference.flat()),
-            verify::kSimdGemmUlpBound);
+  EXPECT_EQ(verify::max_ulp_distance(atb_packed.flat(), atb_reference.flat()), 0u);
+  EXPECT_EQ(verify::max_ulp_distance(abt_packed.flat(), abt_reference.flat()), 0u);
 }
 
 TEST(DifferentialGemm, AccumulateVariantAgrees) {
@@ -285,8 +290,7 @@ TEST(DifferentialGemm, AccumulateVariantAgrees) {
     tensor::ScopedKernelMode mode(tensor::KernelMode::kReference);
     tensor::matmul_into(a, b, reference, /*accumulate=*/true);
   }
-  EXPECT_LE(verify::max_ulp_distance(packed.flat(), reference.flat()),
-            verify::kSimdGemmUlpBound);
+  EXPECT_EQ(verify::max_ulp_distance(packed.flat(), reference.flat()), 0u);
 }
 
 TEST(DifferentialGemm, SimdTransposedAndAccumulateVariantsMatchReference) {
@@ -317,11 +321,11 @@ TEST(DifferentialGemm, SimdTransposedAndAccumulateVariantsMatchReference) {
     tensor::matmul_into(c, e, acc, /*accumulate=*/true);
     const std::string shape =
         std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
-    EXPECT_LE(verify::max_ulp_distance(atb.flat(), atb_ref.flat()), verify::kSimdGemmUlpBound)
+    EXPECT_EQ(verify::max_ulp_distance(atb.flat(), atb_ref.flat()), 0u)
         << "matmul_at_b(accumulate) " << shape;
-    EXPECT_LE(verify::max_ulp_distance(abt.flat(), abt_ref.flat()), verify::kSimdGemmUlpBound)
+    EXPECT_EQ(verify::max_ulp_distance(abt.flat(), abt_ref.flat()), 0u)
         << "matmul_a_bt(accumulate) " << shape;
-    EXPECT_LE(verify::max_ulp_distance(acc.flat(), acc_ref.flat()), verify::kSimdGemmUlpBound)
+    EXPECT_EQ(verify::max_ulp_distance(acc.flat(), acc_ref.flat()), 0u)
         << "matmul_into(accumulate) " << shape;
   }
 }
@@ -340,48 +344,62 @@ tensor::Matrix fma_chain(tensor::Matrix c, std::size_t k, AAt a_at, BAt b_at) {
   return c;
 }
 
-// Runs all four packed entry points (fresh, accumulate, A^T·B, A·B^T) on one
-// m x k x n shape and expects each to be bit-identical to `expected`'s
-// counterpart: the std::fma chain at and above the crossover, the reference
-// kernel below it (where the packed mode runs the reference loop).
-void expect_packed_bit_identical(std::size_t m, std::size_t k, std::size_t n, Rng& rng) {
-  const tensor::Matrix a = random_matrix(m, k, rng);
-  const tensor::Matrix at = a.transposed();
-  const tensor::Matrix b = random_matrix(k, n, rng);
-  const tensor::Matrix bt = b.transposed();
-  const tensor::Matrix seed = random_matrix(m, n, rng);
+// The operands of one m x k x n problem in every stored form the four entry
+// points (fresh, accumulate, A^T·B, A·B^T) read, plus an accumulate seed.
+struct GemmOperands {
+  tensor::Matrix a, at, b, bt, seed;
+};
 
-  const auto run = [&] {
-    std::array<tensor::Matrix, 4> out = {tensor::Matrix(m, n), seed, tensor::Matrix(m, n),
-                                         tensor::Matrix(m, n)};
-    tensor::matmul_into(a, b, out[0]);
-    tensor::matmul_into(a, b, out[1], /*accumulate=*/true);
-    tensor::matmul_at_b_into(at, b, out[2]);
-    tensor::matmul_a_bt_into(a, bt, out[3]);
-    return out;
-  };
-  std::array<tensor::Matrix, 4> expected;
-  if (m * k * n >= 512) {
-    const auto a_rows = [&](std::size_t i, std::size_t p) { return a(i, p); };
-    const auto b_rows = [&](std::size_t p, std::size_t j) { return b(p, j); };
-    expected = {fma_chain(tensor::Matrix(m, n), k, a_rows, b_rows),
-                fma_chain(seed, k, a_rows, b_rows),
-                fma_chain(tensor::Matrix(m, n), k,
-                          [&](std::size_t i, std::size_t p) { return at(p, i); }, b_rows),
-                fma_chain(tensor::Matrix(m, n), k, a_rows,
-                          [&](std::size_t p, std::size_t j) { return bt(j, p); })};
-  } else {
-    const tensor::ScopedKernelMode mode(tensor::KernelMode::kReference);
-    expected = run();
-  }
-  const tensor::ScopedKernelMode mode(tensor::KernelMode::kPacked);
-  const std::array<tensor::Matrix, 4> packed = run();
+GemmOperands gemm_operands(std::size_t m, std::size_t k, std::size_t n, Rng& rng,
+                           tensor::Matrix (*make)(std::size_t, std::size_t, Rng&)) {
+  GemmOperands op;
+  op.a = make(m, k, rng);
+  op.at = op.a.transposed();
+  op.b = make(k, n, rng);
+  op.bt = op.b.transposed();
+  op.seed = make(m, n, rng);
+  return op;
+}
+
+// All four entry points under `mode`.
+std::array<tensor::Matrix, 4> run_entry_points(const GemmOperands& op,
+                                               tensor::KernelMode mode) {
+  const tensor::ScopedKernelMode guard(mode);
+  const std::size_t m = op.a.rows(), n = op.b.cols();
+  std::array<tensor::Matrix, 4> out = {tensor::Matrix(m, n), op.seed, tensor::Matrix(m, n),
+                                       tensor::Matrix(m, n)};
+  tensor::matmul_into(op.a, op.b, out[0]);
+  tensor::matmul_into(op.a, op.b, out[1], /*accumulate=*/true);
+  tensor::matmul_at_b_into(op.at, op.b, out[2]);
+  tensor::matmul_a_bt_into(op.a, op.bt, out[3]);
+  return out;
+}
+
+void expect_entry_points_identical(const std::array<tensor::Matrix, 4>& packed,
+                                   const std::array<tensor::Matrix, 4>& expected) {
   const char* const forms[] = {"matmul_into", "matmul_into(accumulate)", "matmul_at_b_into",
                                "matmul_a_bt_into"};
   for (std::size_t f = 0; f < packed.size(); ++f)
     EXPECT_EQ(verify::max_ulp_distance(packed[f].flat(), expected[f].flat()), 0u)
-        << forms[f] << " " << m << "x" << k << "x" << n << " on "
-        << ThreadPool::global().size() << " workers";
+        << forms[f] << " on " << ThreadPool::global().size() << " workers";
+}
+
+// The four packed entry points on one m x k x n shape against the std::fma
+// chain, on both sides of the crossover (below it the packed mode runs the
+// reference loop, which computes the same chain).
+void expect_packed_bit_identical(std::size_t m, std::size_t k, std::size_t n, Rng& rng) {
+  SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+  const GemmOperands op = gemm_operands(m, k, n, rng, random_matrix);
+  const auto a_rows = [&](std::size_t i, std::size_t p) { return op.a(i, p); };
+  const auto b_rows = [&](std::size_t p, std::size_t j) { return op.b(p, j); };
+  const std::array<tensor::Matrix, 4> expected = {
+      fma_chain(tensor::Matrix(m, n), k, a_rows, b_rows),
+      fma_chain(op.seed, k, a_rows, b_rows),
+      fma_chain(tensor::Matrix(m, n), k,
+                [&](std::size_t i, std::size_t p) { return op.at(p, i); }, b_rows),
+      fma_chain(tensor::Matrix(m, n), k, a_rows,
+                [&](std::size_t p, std::size_t j) { return op.bt(j, p); })};
+  expect_entry_points_identical(run_entry_points(op, tensor::KernelMode::kPacked), expected);
 }
 
 TEST(DifferentialGemm, PackedIsBitIdenticalToFmaChain) {
@@ -416,6 +434,36 @@ TEST(DifferentialGemm, PackedIsBitIdenticalToFmaChain) {
   ThreadPool::set_global_size(original_size);
 }
 
+TEST(DifferentialGemm, PackedIsBitIdenticalToReferenceOnSignedData) {
+  // The two kernel modes, not the packed kernel and a test-side chain: the
+  // reference loops must compute the tile's chain too. Signed data makes any
+  // other summation, or an a*b+c the compiler contracted on one side only,
+  // show up as a large ULP distance.
+  Rng rng(31);
+  for (const auto [m, k, n] : {std::array<std::size_t, 3>{1, 1, 1},
+                               {7, 9, 8},
+                               {8, 8, 8},
+                               {1, 513, 1},
+                               {17, 33, 9},
+                               {65, 31, 97},
+                               {64, 64, 64}}) {
+    SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+    const GemmOperands op = gemm_operands(m, k, n, rng, signed_matrix);
+    expect_entry_points_identical(run_entry_points(op, tensor::KernelMode::kPacked),
+                                  run_entry_points(op, tensor::KernelMode::kReference));
+  }
+
+  // Above kParallelMinFlops (2^22), so the packed row panels spread over the
+  // pool: 180*160*170 ≈ 4.9M multiply-adds.
+  const std::size_t original_size = ThreadPool::global().size();
+  ThreadPool::set_global_size(4);
+  Rng big(37);
+  const GemmOperands op = gemm_operands(180, 160, 170, big, signed_matrix);
+  expect_entry_points_identical(run_entry_points(op, tensor::KernelMode::kPacked),
+                                run_entry_points(op, tensor::KernelMode::kReference));
+  ThreadPool::set_global_size(original_size);
+}
+
 TEST(ParallelGemm, BitIdenticalAcrossPoolSizes) {
   // The row-panel partitioning gives every C element exactly one owning
   // micro-tile with a single ascending-k accumulation pass, so a parallel
@@ -443,8 +491,7 @@ TEST(ParallelGemm, BitIdenticalAcrossPoolSizes) {
     EXPECT_EQ(verify::max_ulp_distance(parallel.flat(), serial.flat()), 0u)
         << "packed with " << workers << " workers";
   }
-  EXPECT_LE(verify::max_ulp_distance(serial.flat(), reference.flat()),
-            verify::kSimdGemmUlpBound);
+  EXPECT_EQ(verify::max_ulp_distance(serial.flat(), reference.flat()), 0u);
   ThreadPool::set_global_size(original_size);
 }
 
@@ -469,10 +516,10 @@ std::shared_ptr<core::TrainedModel> quick_model(const std::vector<double>& serie
 
 TEST(DifferentialLstm, WalkForwardSeriesWithinBound) {
   // predict_series runs one batched layered forward pass (GEMMs, not the
-  // fused step) under either mode, so this bounds the packed kernel's
-  // divergence through a full recurrent forward. The single-window fused
-  // predict_next/predict_horizon calls are DifferentialFused's; their layered
-  // counterparts are the two tests below.
+  // fused step) under either mode, so the two modes agree bit for bit through
+  // a full recurrent forward. The single-window fused predict_next/
+  // predict_horizon calls are DifferentialFused's; their layered counterparts
+  // are the two tests below.
   const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
   const auto model = quick_model(series);
 
@@ -485,7 +532,7 @@ TEST(DifferentialLstm, WalkForwardSeriesWithinBound) {
     tensor::ScopedKernelMode mode(tensor::KernelMode::kReference);
     reference = model->predict_series(series, 120);
   }
-  EXPECT_LE(verify::max_ulp_distance(packed, reference), verify::kLstmUlpBound);
+  EXPECT_EQ(verify::max_ulp_distance(packed, reference), 0u);
 }
 
 // The recursive `steps`-ahead forecast after `history`, every step through the
@@ -526,12 +573,12 @@ TEST(DifferentialLstm, ForwardPassWithinBound) {
     // Under kReference predict_next runs the same layered one-window forward.
     ASSERT_EQ(reference.at(0), model->predict_next(series));
   }
-  EXPECT_LE(verify::ulp_distance(packed.at(0), reference.at(0)), verify::kLstmUlpBound);
+  EXPECT_EQ(verify::ulp_distance(packed.at(0), reference.at(0)), 0u);
 }
 
 TEST(DifferentialLstm, RecursiveHorizonWithinPredictBound) {
-  // Recursive multi-step feeds rounding differences back into the input, so
-  // this path gets the wider serving bound.
+  // Recursive multi-step feeds each step back into the input, so a single
+  // differing bit would compound; the modes must agree exactly.
   const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
   const auto model = quick_model(series, kPackedStepCells);
 
@@ -545,7 +592,28 @@ TEST(DifferentialLstm, RecursiveHorizonWithinPredictBound) {
     reference = layered_horizon(*model, series, 12);
     ASSERT_EQ(reference, model->predict_horizon(series, 12));
   }
-  EXPECT_LE(verify::max_ulp_distance(packed, reference), verify::kPredictUlpBound);
+  EXPECT_EQ(verify::max_ulp_distance(packed, reference), 0u);
+}
+
+TEST(DifferentialLstm, TrainingUnderEitherModeGivesIdenticalWeights) {
+  // Training runs every GEMM shape the model has, forward and backward, for
+  // every epoch: the same model trained under kPacked and under kReference
+  // ends with the same weights and serves the same forecasts.
+  const std::vector<double> series = testutil::seasonal_series(160, 100.0, 15.0, 24.0, 5);
+  std::shared_ptr<core::TrainedModel> packed, reference;
+  {
+    tensor::ScopedKernelMode mode(tensor::KernelMode::kPacked);
+    packed = quick_model(series, 24);
+  }
+  {
+    tensor::ScopedKernelMode mode(tensor::KernelMode::kReference);
+    reference = quick_model(series, 24);
+  }
+  EXPECT_EQ(verify::max_ulp_distance(packed->snapshot().weights, reference->snapshot().weights),
+            0u);
+  EXPECT_EQ(verify::max_ulp_distance(packed->predict_series(series, 120),
+                                     reference->predict_series(series, 120)),
+            0u);
 }
 
 TEST(ServingDiff, LivePredictPassesDifferentialCheck) {

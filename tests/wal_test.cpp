@@ -62,7 +62,7 @@ serving::ServiceConfig quick_service(std::size_t shards = 1) {
   cfg.adaptive.base.training.trainer.max_epochs = 3;
   cfg.adaptive.refresh_candidates = 1;
   cfg.adaptive.retrain_history_cap = 120;
-  cfg.adaptive.monitor_window = 16;
+  cfg.adaptive.drift.monitor_window = 16;
   return cfg;
 }
 

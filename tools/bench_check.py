@@ -7,13 +7,17 @@ Usage:
   tools/bench_check.py --current /tmp/perf.json --regen
 
   # check a run against the baseline (exit 1 on any >25% regression)
+  ./build/bench/perf_micro --benchmark_format=json --benchmark_repetitions=5 > /tmp/perf.json
   tools/bench_check.py --current /tmp/perf.json
 
 The baseline (bench/BENCH_baseline.json) stores per-benchmark real_time
-(wall clock) in nanoseconds. Wall time, not the main thread's cpu_time,
-because the GEMM benches above kParallelMinFlops hand row panels to
-ThreadPool workers whose CPU time the main thread never sees. Absolute times only transfer between identical machines, so CI
-passes --normalize BM_Gemm/32: every time is divided by that benchmark's time
+(wall clock) in nanoseconds. A run with --benchmark_repetitions=N has N
+iteration rows per benchmark; each benchmark's time is the median of its
+rows (one row is its own median), so one noisy repetition cannot fail the
+gate. Wall time, not the main thread's cpu_time, because the GEMM benches
+above kParallelMinFlops hand row panels to ThreadPool workers whose CPU time
+the main thread never sees. Absolute times only transfer between identical
+machines, so CI passes --normalize BM_Gemm/32: every time is divided by that benchmark's time
 in the *same* run, and the gate compares the resulting machine-free ratios.
 The budget is deliberately loose (25%) — this catches "the packed GEMM lost
 its packing" or "the disabled fault point grew a lock", not 2% noise.
@@ -42,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 
 DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "..", "bench", "BENCH_baseline.json")
@@ -137,20 +142,22 @@ def check_fleet(args: argparse.Namespace) -> int:
 
 
 def load_run(path: str) -> dict[str, float]:
-    """Map benchmark name -> real_time (ns) from google-benchmark JSON output."""
+    """Map benchmark name -> median real_time (ns) over its repetition rows
+    in google-benchmark JSON output."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    times: dict[str, float] = {}
+    runs: dict[str, list[float]] = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
             continue  # skip mean/median/stddev aggregate rows
         # google-benchmark reports in the unit the bench requested; fold to ns.
         unit = bench.get("time_unit", "ns")
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
-        times[bench["name"]] = float(bench["real_time"]) * scale
-    if not times:
+        name = bench.get("run_name", bench["name"])
+        runs.setdefault(name, []).append(float(bench["real_time"]) * scale)
+    if not runs:
         sys.exit(f"error: no benchmarks found in {path}")
-    return times
+    return {name: statistics.median(times) for name, times in runs.items()}
 
 
 def normalize(times: dict[str, float], anchor: str) -> dict[str, float]:
